@@ -12,8 +12,8 @@ from .norms import (NormOracle, block_sum_norm, kt_block_norm, kt_block_of,
                     kt_global_index, mixed_parity_norm, suppression_project)
 from .ordinals import (OMEGA, ONE, ZERO, Ordinal, OrdinalError, classify,
                        compare, fundamental_term, parse_ordinal)
-from .rah import (GeometricBlock, IndexStream, WeightFamily,
-                  democracy_growth_table, make_weight_family,
+from .rah import (GeometricBlock, IndexStream, ShiftedInt, WeightFamily,
+                  democracy_growth_table, int_descriptor, make_weight_family,
                   rah_schreier_bound_search, rah_sequence, rah_vector,
                   weight_family_certificates)
 from .schreier import (FamilyError, FamilyHandle, f_alpha_member,

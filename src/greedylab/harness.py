@@ -20,8 +20,8 @@ from .family_norms import jamesification_norm, weighted_schreier_norm
 from .greedy import SearchSpec, estimate_constant
 from .norms import kt_block_norm
 from .ordinals import Ordinal, OrdinalError, parse_ordinal
-from .rah import (IndexStream, democracy_growth_table, make_weight_family,
-                  rah_sequence, weight_family_certificates)
+from .rah import (IndexStream, democracy_growth_table, int_descriptor,
+                  make_weight_family, rah_sequence, weight_family_certificates)
 from .schreier import min_level_find
 from .spaces import make_space
 from .vectors import SparseVector
@@ -116,10 +116,7 @@ def _sanitize(obj):
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, int):
-        if obj.bit_length() <= 63:
-            return obj
-        return {"bit_length": obj.bit_length(),
-                "hex_head": format(obj >> (obj.bit_length() - 64), "x")}
+        return int_descriptor(obj)
     return obj
 
 

@@ -9,7 +9,8 @@ certificates are strict Fraction inequalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import BudgetExceeded, support_budget
@@ -188,13 +189,136 @@ def rah_schreier_bound_search(alpha: Ordinal, beta: Ordinal, N: int,
 # ---------------------------------------------------------------------------
 
 
-def _checked_shift(bits: int) -> int:
+# operands at most this wide are folded into an offset instead of rebased
+_NARROW_BITS = 64
+
+
+def _checked_exponent(bits: int) -> int:
     if bits > MATERIALIZE_SHIFT_CAP:
         raise RangeNotMaterializable(
             f"a shift by a {bits.bit_length()}-bit exponent exceeds the "
             f"materialization cap of {MATERIALIZE_SHIFT_CAP} bits"
         )
-    return 1 << bits
+    return bits
+
+
+class ShiftedInt:
+    """The integer (head << shift) + offset, kept unexpanded.
+
+    Endpoints deep in a weight family have hundreds of millions of bits.  In
+    this form shifts, sums, comparisons, bit lengths and leading bits cost a
+    few small-integer operations while heads stay small and the shifts of
+    two wide operands are close; anything else falls back to the exact
+    expanded integers, which costs time linear in their width.
+    """
+
+    __slots__ = ("head", "shift", "offset")
+
+    def __init__(self, head: int, shift: int = 0, offset: int = 0):
+        if shift < 0:
+            raise ValueError(f"shift must be non-negative, got {shift}")
+        self.head = head
+        self.shift = shift
+        self.offset = offset
+
+    @classmethod
+    def of(cls, value: int) -> "ShiftedInt":
+        """Canonical form of an int: odd head and zero offset."""
+        if value == 0:
+            return cls(0)
+        twos = (value & -value).bit_length() - 1
+        return cls(value >> twos, twos)
+
+    def __int__(self) -> int:
+        value = self.head << self.shift
+        # adding a zero offset would still copy a wide value
+        return value + self.offset if self.offset else value
+
+    def __repr__(self) -> str:
+        return f"ShiftedInt({self.head}, {self.shift}, {self.offset})"
+
+    def sign(self) -> int:
+        h, o = self.head, self.offset
+        if h == 0:
+            v = o
+        elif abs(o).bit_length() <= self.shift:
+            v = h  # |offset| < 2^shift <= |head| * 2^shift
+        else:
+            v = int(self)
+        return (v > 0) - (v < 0)
+
+    def bit_length(self) -> int:
+        if self.sign() < 0:
+            return (-self).bit_length()
+        k = max(self.shift - 1, 0)
+        top = self >> k
+        if top > 0:
+            return top.bit_length() + k
+        return int(self).bit_length()
+
+    def __rshift__(self, k: int) -> int:
+        """The floor shift self >> k, as an int."""
+        if k <= self.shift:
+            return (self.head << (self.shift - k)) + (self.offset >> k)
+        return int(self) >> k
+
+    def __lshift__(self, k: int) -> "ShiftedInt":
+        return ShiftedInt(self.head, self.shift + k, self.offset << k)
+
+    def __neg__(self) -> "ShiftedInt":
+        return ShiftedInt(-self.head, self.shift, -self.offset)
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return ShiftedInt(self.head, self.shift, self.offset + other)
+        if not isinstance(other, ShiftedInt):
+            return NotImplemented
+        if other.bit_length() <= _NARROW_BITS:
+            return self + int(other)
+        if self.bit_length() <= _NARROW_BITS:
+            return other + int(self)
+        if self.shift < other.shift:
+            return other + self
+        head = (self.head << (self.shift - other.shift)) + other.head
+        return ShiftedInt(head, other.shift, self.offset + other.offset)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        return ShiftedInt(self.head * k, self.shift, self.offset * k)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "ShiftedInt":
+        if self.offset:
+            return ShiftedInt.of(int(self) ** k)
+        return ShiftedInt(self.head ** k, self.shift * k)
+
+    def __bool__(self) -> bool:
+        return self.sign() != 0
+
+    def _ordering(test):
+        def method(self, other):
+            if not isinstance(other, (int, ShiftedInt)):
+                return NotImplemented
+            return test((self - other).sign(), 0)
+        return method
+
+    __eq__ = _ordering(operator.eq)
+    __lt__ = _ordering(operator.lt)
+    __le__ = _ordering(operator.le)
+    __gt__ = _ordering(operator.gt)
+    __ge__ = _ordering(operator.ge)
+    __hash__ = None
+    del _ordering
 
 
 @dataclass(frozen=True)
@@ -207,12 +331,17 @@ class GeometricBlock:
     1/(start^2 * 2^(n-1)) (the first level-2 average on the consecutive tail);
     a maximal level-2 interval.
 
-    Runs are produced lazily so that blocks too large to enumerate still
-    answer point queries, partial sums and closed-form certificates.
+    Run bounds and endpoints are ShiftedInt forms of the start, whose head
+    stays the odd part of the first block's start along a family, so blocks
+    too large to enumerate still answer point queries, partial sums and
+    exact certificates with small-integer work.  `start` may be given as a
+    ShiftedInt; it is stored as an int next to its canonical `start_form`.
     """
 
     level: int
-    start: int
+    # repr shows the form: a wide start has too many digits to print
+    start: int = field(repr=False)
+    start_form: ShiftedInt = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.level not in (0, 1):
@@ -221,6 +350,11 @@ class GeometricBlock:
             )
         if self.start < 2:
             raise FamilyError("block start must be at least 2")
+        form = self.start
+        if isinstance(form, int) or form.offset or not form.head & 1:
+            form = ShiftedInt.of(int(form))
+        object.__setattr__(self, "start", int(form))
+        object.__setattr__(self, "start_form", form)
 
     @property
     def min_index(self) -> int:
@@ -230,53 +364,74 @@ class GeometricBlock:
     def run_count(self) -> int:
         return 1 if self.level == 0 else self.start
 
-    def run(self, n: int):
-        """(lo, hi, weight) of the n-th run, 1-based."""
+    def run_bounds(self, n: int):
+        """(lo, hi) of the n-th run, 1-based, as ShiftedInt forms."""
         if not (1 <= n <= self.run_count):
             raise FamilyError(f"run {n} outside 1..{self.run_count}")
-        if self.level == 0:
-            return self.start, 2 * self.start - 1, Fraction(1, self.start)
-        scale = _checked_shift(n - 1)
-        lo = self.start * scale
-        return lo, 2 * lo - 1, Fraction(1, self.start * self.start * scale)
+        lo = self.start_form << _checked_exponent(n - 1)
+        return lo, (lo << 1) - 1
+
+    def run_weight(self, n: int):
+        """(num, p, e): the n-th run's weight is num / (start^p * 2^e)."""
+        return 1, self.level + 1, n - 1
+
+    def _weight(self, n: int) -> Fraction:
+        num, p, e = self.run_weight(n)
+        return Fraction(num, self.start ** p << e)
+
+    def run(self, n: int):
+        """(lo, hi, weight) of the n-th run, 1-based, expanded."""
+        lo, hi = self.run_bounds(n)
+        return int(lo), int(hi), self._weight(n)
 
     def run_of_index(self, i: int):
         """1-based run number owning index i, or None."""
-        q = i // self.start
-        if q < 1 or (self.level == 0 and (i < self.start or i > 2 * self.start - 1)):
+        start = self.start
+        if i < start:
             return None
         if self.level == 0:
-            return 1
-        n = q.bit_length()
-        if n > self.start or i < self.start:
-            return None
-        return n
+            return 1 if i < 2 * start else None
+        n = (i // start).bit_length()
+        return n if n <= start else None
+
+    def _run_containing(self, i):
+        """Number n of the range [start*2^(n-1), start*2^n - 1] holding
+        i >= start; it exceeds run_count past the block."""
+        n = i.bit_length() - self.start_form.bit_length() + 1
+        return n if i >= self.start_form << (n - 1) else n - 1
 
     def weight_at(self, i: int):
         n = self.run_of_index(i)
         if n is None:
             return None
-        return self.run(n)[2]
+        return self._weight(n)
 
-    def max_index(self) -> int:
-        if self.level == 0:
-            return 2 * self.start - 1
-        return self.start * _checked_shift(self.start) - 1
+    def max_index(self) -> ShiftedInt:
+        exponent = 1 if self.level == 0 else _checked_exponent(self.start)
+        return (self.start_form << exponent) - 1
 
-    def size(self) -> int:
-        if self.level == 0:
-            return self.start
-        return self.start * (_checked_shift(self.start) - 1)
+    def size(self) -> ShiftedInt:
+        return self.max_index() + 1 - self.start_form
 
     @property
     def materializable(self) -> bool:
-        return self.level == 0 or self.start <= MATERIALIZE_SHIFT_CAP
+        return self.level == 0 or self.start_form <= MATERIALIZE_SHIFT_CAP
+
+    def scaled_run_mass(self, n: int):
+        """(num, den) with num/den = run_count * (mass of run n); one when the
+        run carries its share of a unit mass.
+
+        run_count = start^level cancels against the weight's start^p, so
+        neither side is a product of wide integers."""
+        lo, hi = self.run_bounds(n)
+        num, p, e = self.run_weight(n)
+        return (hi - lo + 1) * num, (self.start_form ** (p - self.level)) << e
 
     def mass(self) -> Fraction:
-        # level 0: one run of mass 1; level 1: start runs of mass 1/start each
-        if self.level == 0:
-            return Fraction(1)
-        return Fraction(self.run_count, self.start)
+        # run_count runs, each carrying the mass of run 1; the sampled
+        # run-mass certificate checks runs across the whole range
+        num, den = self.scaled_run_mass(1)
+        return Fraction(1) if num == den else Fraction(int(num), int(den))
 
     def family_norm_times_min(self) -> Fraction:
         """Closed form for min * (level-`level` family norm of the weights).
@@ -302,54 +457,49 @@ class GeometricBlock:
                 entries[i] = w
         return SparseVector(entries)
 
-    def interval_mass_compare(self, lo: int, hi: int):
+    def interval_mass_compare(self, lo, hi):
         """(numerator, denominator) of min * sum of weights over [lo, hi],
         unreduced, so callers can compare against 1 without a giant gcd.
+        Bounds may be ints or ShiftedInt forms, and so may the results.
 
-        Each run term is count * start * w = count / (start * scale) after the
-        structural cancellation, keeping huge-int work down to comparisons."""
+        Run n contributes count * start * w = count / (start^level * 2^(n-1))
+        once one start cancels; the terms share the denominator of the last
+        run touched, so the sum takes shifts and additions only."""
+        lo = max(lo, self.start_form)
         if hi < lo:
             return 0, 1
         num = 0
-        den = 1
-        n_lo = self.run_of_index(max(lo, self.start))
-        if n_lo is None:
-            if lo > self.start:
-                return 0, 1
-            n_lo = 1
-        n = n_lo
+        touched = 0
+        n = self._run_containing(lo)
         while n <= self.run_count:
-            r_lo, r_hi, _ = self.run(n)
+            r_lo, r_hi = self.run_bounds(n)
             if r_lo > hi:
                 break
-            count = min(hi, r_hi) - max(lo, r_lo) + 1
-            if count > 0:
-                # level 0: count * start * (1/start) = count
-                # level 1: count * start * w = count / (start * 2^(n-1))
-                if self.level == 0:
-                    term_num, term_den = count, 1
-                else:
-                    term_num, term_den = count, self.start * (1 << (n - 1))
-                num = num * term_den + term_num * den
-                den = den * term_den
+            num = (num << 1) + (min(hi, r_hi) - max(lo, r_lo) + 1)
+            touched = n
             n += 1
-        return num, den
+        if not touched:
+            return 0, 1
+        return num, (self.start_form ** self.level) << (touched - 1)
 
     def describe(self) -> dict:
-        out = {"level": self.level, "start": _int_descriptor(self.start),
-               "runs": _int_descriptor(self.run_count)}
+        out = {"level": self.level, "start": int_descriptor(self.start_form),
+               "runs": int_descriptor(self.run_count)}
         if self.materializable:
-            out["max"] = _int_descriptor(self.max_index())
-            out["size"] = _int_descriptor(self.size())
+            out["max"] = int_descriptor(self.max_index())
+            out["size"] = int_descriptor(self.size())
         else:
-            out["max"] = {"form": f"start*2^start - 1 (start of {self.start.bit_length()} bits)"}
+            out["max"] = {"form": f"start*2^start - 1 (start of {self.start_form.bit_length()} bits)"}
         return out
 
 
-def _int_descriptor(v: int):
-    if v.bit_length() <= 63:
-        return v
-    return {"bit_length": v.bit_length(), "hex_head": format(v >> max(0, v.bit_length() - 64), "x")}
+def int_descriptor(v):
+    """JSON form of an int or ShiftedInt: itself up to 63 bits, otherwise its
+    bit length and leading 64 bits in hex."""
+    bits = v.bit_length()
+    if bits <= 63:
+        return int(v)
+    return {"bit_length": bits, "hex_head": format(v >> (bits - 64), "x")}
 
 
 @dataclass(frozen=True)
@@ -425,41 +575,31 @@ def weight_family_certificates(family: WeightFamily) -> list:
     """Per-block exact certificates: unit mass, the closed-form norm value,
     and per-run mass identities sampled across the run range.
 
-    Run-mass identities are checked in integer form, (hi-lo+1)*w.num*start ==
-    w.den, to avoid reducing fractions with enormous denominators."""
+    A sampled run passes when run_count * (its mass) is exactly one, compared
+    as ShiftedInt forms through `scaled_run_mass`, so runs of blocks with
+    hundreds of millions of bits cost small-integer work."""
     rows = []
     for pos, block in enumerate(family.blocks, start=1):
-        checks = {"mass_is_one": block.mass() == 1}
         norm_times_min = block.family_norm_times_min()
-        checks["norm_bound"] = norm_times_min < 3
-        run_mass_ok = True
-        for n in _sample_run_numbers(block):
-            lo, hi, w = block.run(n)
-            # run mass is 1 at level 0 and 1/start at level 1
-            expected_factor = 1 if block.level == 0 else block.start
-            if (hi - lo + 1) * w.numerator * expected_factor != w.denominator:
-                run_mass_ok = False
-        checks["sampled_run_mass"] = run_mass_ok
+        samples = (block.scaled_run_mass(n) for n in _sample_run_numbers(block))
         rows.append({
             "block": pos,
-            "min": _int_descriptor(block.min_index),
+            "min": int_descriptor(block.start_form),
             "norm_times_min": {"num": norm_times_min.numerator,
                                "den": norm_times_min.denominator},
-            "checks": checks,
+            "checks": {"mass_is_one": block.mass() == 1,
+                       "norm_bound": norm_times_min < 3,
+                       "sampled_run_mass": all(num == den for num, den in samples)},
         })
     return rows
 
 
-def _adjacent_partner_is_unit(blocks, block) -> bool:
-    """True when the interval right after `block`, of the block's size, has
-    weighted norm exactly one: every other block's contribution must stay
-    strictly below the sup term, checked by unreduced exact comparisons."""
-    lo = block.max_index() + 1
-    hi = lo + block.size() - 1
+def _adjacent_partner_is_unit(blocks, block, lo, hi) -> bool:
+    """True when [lo, hi], right after `block`, has weighted norm exactly one:
+    every other block's contribution must stay strictly below the sup term,
+    checked by unreduced exact comparisons."""
     for other in blocks:
-        if other is block:
-            continue
-        if other.min_index > hi:
+        if other is block or other.start_form > hi:
             continue
         num, den = other.interval_mass_compare(lo, hi)
         if num >= den:
@@ -467,44 +607,37 @@ def _adjacent_partner_is_unit(blocks, block) -> bool:
     return True
 
 
+def _partner(lo, size, placement: str) -> dict:
+    return {"lo": int_descriptor(lo), "hi": int_descriptor(lo + size - 1),
+            "count": int_descriptor(size), "placement": placement}
+
+
 def democracy_growth_table(family: WeightFamily) -> list:
     """Democracy-ratio lower bounds: per block, the indicator of the block
     against an equally sized disjoint partner of norm one.
 
     Partners sit right after their block when the overlap with later runs
-    stays strictly below the sup term (checked exactly, without reducing huge
-    fractions); otherwise they sit past the whole family where every weight
-    vanishes.  Either way the partner norm is exactly one, so the ratio is the
-    block minimum.
+    stays strictly below the sup term (checked exactly on ShiftedInt forms);
+    otherwise they sit past the whole family where every weight vanishes.
+    Either way the partner norm is exactly one, so the ratio is the block
+    minimum.
     """
     rows = []
-    blocks = list(family.blocks)
-    family_max = None
-    for pos, block in enumerate(blocks):
-        partner = None
-        if block.materializable and _adjacent_partner_is_unit(blocks, block):
+    blocks = family.blocks
+    last = blocks[-1]
+    for pos, block in enumerate(blocks, start=1):
+        partner = {"after_block": len(blocks),
+                   "count": "size of the block (beyond every weight)",
+                   "placement": "beyond-family-symbolic"}
+        if block.materializable:
+            size = block.size()
             lo = block.max_index() + 1
-            partner = {"lo": _int_descriptor(lo),
-                       "hi": _int_descriptor(lo + block.size() - 1),
-                       "count": _int_descriptor(block.size()),
-                       "placement": "adjacent"}
-        elif block.materializable:
-            if family_max is None:
-                last = blocks[-1]
-                if last.materializable:
-                    family_max = last.max_index()
-            if family_max is not None:
-                lo = family_max + 1
-                partner = {"lo": _int_descriptor(lo),
-                           "hi": _int_descriptor(lo + block.size() - 1),
-                           "count": _int_descriptor(block.size()),
-                           "placement": "beyond-family"}
-        if partner is None:
-            partner = {"after_block": len(blocks),
-                       "count": "size of the block (beyond every weight)",
-                       "placement": "beyond-family-symbolic"}
+            if _adjacent_partner_is_unit(blocks, block, lo, lo + size - 1):
+                partner = _partner(lo, size, "adjacent")
+            elif last.materializable:
+                partner = _partner(last.max_index() + 1, size, "beyond-family")
         rows.append({
-            "block": pos + 1,
+            "block": pos,
             "min": block.min_index,
             "partner": partner,
             "partner_norm": 1,

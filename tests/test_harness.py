@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -93,6 +94,29 @@ def test_run_walpha_two_blocks(tmp_path):
     assert summary["status"] == "PASS"
     fam = json.loads((tmp_path / "repro-walpha.family.json").read_text())
     assert [b["start"] for b in fam["blocks"]] == [3, 24]
+
+
+# SHA-256 of the outputs of `greedylab repro repro-walpha` at its defaults
+# (4 blocks, n0 2, 500 samples, seed 0)
+WALPHA_GOLDEN = {
+    "repro-walpha.democracy.json":
+        "141e3dce8574239dbc1186026b7afd0224f2d7af2a25bf0bd0e38b7d0c856db4",
+    "repro-walpha.family.json":
+        "1a6f316247146e5525561c9d68e57344a689c5a9686aac6a35890227ca0eaa35",
+    "repro-walpha.summary.json":
+        "6680bab9970cd89097e6205459149207aaa0711f01637768ce122518d71bce81",
+}
+
+
+def test_run_walpha_default_spec_golden(tmp_path):
+    summary = run_experiment(ExperimentSpec("repro-walpha"), tmp_path)
+    assert summary["status"] == "PASS"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(WALPHA_GOLDEN)
+    for name, digest in WALPHA_GOLDEN.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    checks = {c["name"]: c for c in summary["checks"]}
+    assert checks["block-certificates"]["status"] == "PASS"
+    assert len(checks["democracy-ratio-growth"]["ratios"]) == 4
 
 
 def test_unknown_experiment_rejected(tmp_path):

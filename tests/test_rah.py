@@ -1,12 +1,17 @@
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedylab.config import BudgetExceeded
 from greedylab.family_norms import schreier_alpha_norm, weighted_schreier_norm
 from greedylab.ordinals import ONE, ZERO, parse_ordinal
-from greedylab.rah import (GeometricBlock, IndexStream,
-                           democracy_growth_table, make_weight_family,
+from greedylab.rah import (GeometricBlock, IndexStream, ShiftedInt,
+                           WeightFamily, democracy_growth_table,
+                           int_descriptor, make_weight_family,
                            rah_schreier_bound_search, rah_sequence, rah_vector,
                            weight_family_certificates)
 from greedylab.schreier import FamilyError, schreier_maximal
@@ -125,8 +130,10 @@ def test_weight_family_certificates_and_maximality():
 
 
 def test_weight_family_budget_failure():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as info:
         make_weight_family(ONE, 5, 2)
+    # the attained blocks print although the last start has 402653213 bits
+    assert "ShiftedInt(3, 402653211, 0)" in repr(info.value.attained)
     with pytest.raises(FamilyError):
         make_weight_family(TWO, 1, 2)
 
@@ -166,3 +173,158 @@ def test_democracy_table_level0_uses_beyond_family_partners():
         assert partner["placement"] in ("adjacent", "beyond-family")
         probe = SparseVector.indicator(range(partner["lo"], partner["hi"] + 1), 1)
         assert weighted_schreier_norm(probe, fam) == 1
+
+
+# ---------------------------------------------------------------------------
+# ShiftedInt forms and the certificates built on them
+# ---------------------------------------------------------------------------
+
+_forms = st.builds(ShiftedInt, st.integers(-40, 40), st.integers(0, 300),
+                   st.integers(-(1 << 80), 1 << 80))
+_operands = st.one_of(_forms, st.integers(-(1 << 320), 1 << 320))
+
+
+def _val(x):
+    return int(x) if isinstance(x, ShiftedInt) else x
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_forms, _operands, st.integers(0, 200))
+def test_shifted_int_matches_int_arithmetic(a, b, k):
+    va, vb = int(a), _val(b)
+    assert int(a + b) == va + vb
+    assert int(b + a) == vb + va
+    assert int(a - b) == va - vb
+    assert int(b - a) == vb - va
+    assert int(a << k) == va << k
+    assert a >> k == va >> k
+    assert int(a * 3) == va * 3
+    assert a.bit_length() == va.bit_length()
+    assert a.sign() == (va > 0) - (va < 0)
+    assert bool(a) == bool(va)
+    assert (a == b) == (va == vb)
+    assert (a < b) == (va < vb)
+    assert (a <= b) == (va <= vb)
+    assert (a > b) == (va > vb)
+    assert (a >= b) == (va >= vb)
+    assert int_descriptor(a) == int_descriptor(va)
+
+
+def test_shifted_int_canonical_form_and_power():
+    for v in (1, 2, 3, 24, 402653184, 12345 << 200, -40):
+        form = ShiftedInt.of(v)
+        assert int(form) == v and form.offset == 0 and form.head % 2
+        assert int(form ** 2) == v * v
+    assert int(ShiftedInt(3, 5, 1) ** 2) == 97 ** 2
+
+
+def test_shifted_int_wide_descriptors_without_expansion():
+    # 3 * 2^402653211 is the fourth block's start of the default family
+    start = ShiftedInt(3, 402653211)
+    assert int_descriptor(start) == {"bit_length": 402653213,
+                                     "hex_head": "c000000000000000"}
+    assert int_descriptor(start - 1) == {"bit_length": 402653213,
+                                         "hex_head": "bfffffffffffffff"}
+    assert start - 1 < start < (start << 1) - 402653185
+    assert (start << 1) - start == start
+
+
+def _fraction(num, den):
+    return Fraction(int(num) if isinstance(num, ShiftedInt) else num,
+                    int(den) if isinstance(den, ShiftedInt) else den)
+
+
+_ENUMERABLE_BLOCKS = ([GeometricBlock(0, s) for s in (2, 3, 7, 100, 4096)]
+                      + [GeometricBlock(1, s) for s in (2, 3, 5, 24, 100, 4096)])
+
+
+def test_scaled_run_mass_matches_fraction_arithmetic():
+    for block in _ENUMERABLE_BLOCKS:
+        for n in range(1, block.run_count + 1):
+            lo, hi, w = block.run(n)
+            assert (lo, hi) == tuple(int(b) for b in block.run_bounds(n))
+            expected = (hi - lo + 1) * w * block.run_count
+            assert expected == 1
+            assert _fraction(*block.scaled_run_mass(n)) == expected
+        assert block.mass() == 1
+
+
+def test_interval_mass_compare_matches_fraction_arithmetic():
+    rng = random.Random(2)
+    for block in _ENUMERABLE_BLOCKS:
+        runs = [block.run(n) for n in range(1, block.run_count + 1)]
+        top = runs[-1][1]
+        probes = [(block.start, top), (1, block.start), (top, top + 5),
+                  (top + 1, top + 9), (block.start + 1, block.start)]
+        for _ in range(20):
+            lo = rng.choice((rng.randint(1, 2 * block.start),
+                             rng.randint(1, top + 3)))
+            probes.append((lo, lo + rng.choice((0, 1, rng.randint(0, top)))))
+        for lo, hi in probes:
+            expected = block.start * sum(
+                (min(hi, r_hi) - max(lo, r_lo) + 1) * w
+                for r_lo, r_hi, w in runs if r_lo <= hi and lo <= r_hi)
+            got = block.interval_mass_compare(lo, hi)
+            assert _fraction(*got) == expected, (block, lo, hi)
+            # forms as bounds give the same value
+            forms = block.interval_mass_compare(ShiftedInt.of(lo),
+                                                ShiftedInt.of(hi))
+            assert _fraction(*forms) == expected
+    # index by index on a block small enough to enumerate
+    block = GeometricBlock(1, 3)
+    for lo in range(1, 26):
+        for hi in range(lo - 1, 26):
+            weights = (block.weight_at(i) for i in range(lo, hi + 1))
+            expected = 3 * sum(w for w in weights if w is not None)
+            assert _fraction(*block.interval_mass_compare(lo, hi)) == expected
+
+
+@dataclass(frozen=True)
+class _LongRun(GeometricBlock):
+    """Sampled run `bad` is one index too long."""
+
+    bad: int = 1
+
+    def run_bounds(self, n):
+        lo, hi = super().run_bounds(n)
+        return (lo, hi + 1) if n == self.bad else (lo, hi)
+
+
+@dataclass(frozen=True)
+class _HeavyRun(GeometricBlock):
+    """Sampled run `bad` has half the denominator it should."""
+
+    bad: int = 1
+
+    def run_weight(self, n):
+        num, p, e = super().run_weight(n)
+        return (num, p, e - 1) if n == self.bad else (num, p, e)
+
+
+def test_certificates_catch_off_by_one_runs():
+    wide = make_weight_family(ONE, 4, 2).blocks[3]
+    cases = [(0, 5, 1), (1, 5, 5), (1, 4096, 2048), (1, 402653184, 402653184),
+             (1, wide.start_form, 64)]
+    for level, start, bad in cases:
+        good = GeometricBlock(level, start)
+        rows = weight_family_certificates(WeightFamily(level, (good,), 2))
+        assert rows[0]["checks"]["sampled_run_mass"]
+        for broken in (_LongRun(level, start, bad), _HeavyRun(level, start, bad)):
+            if broken.level == 0 and isinstance(broken, _HeavyRun):
+                continue  # a level-0 run has exponent 0; nothing to halve
+            rows = weight_family_certificates(WeightFamily(level, (broken,), 2))
+            assert rows[0]["checks"]["sampled_run_mass"] is False, broken.start
+
+
+def test_default_family_certificates_and_democracy():
+    family = make_weight_family(ONE, 4, 2)
+    rows = weight_family_certificates(family)
+    assert len(rows) == 4
+    assert all(all(r["checks"].values()) for r in rows)
+    demo = democracy_growth_table(family)
+    assert [r["partner"]["placement"] for r in demo] == [
+        "adjacent", "adjacent", "adjacent", "beyond-family-symbolic"]
+    # the adjacent partner of block 2 is explicit: its norm really is one
+    partner = demo[1]["partner"]
+    probe = SparseVector({partner["lo"]: 1, partner["hi"]: 1})
+    assert weighted_schreier_norm(probe, family) == 1
