@@ -9,7 +9,7 @@ family of weight blocks.  All three are exact when fed int/Fraction payloads.
 from __future__ import annotations
 
 import heapq
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from .config import BudgetExceeded, james_ops_budget, node_budget
 from .ordinals import ONE, Ordinal
@@ -22,40 +22,32 @@ from .vectors import SparseVector
 # ---------------------------------------------------------------------------
 
 
-def _s1_best(values):
+def _s1_best(values, want_witness=False):
     """Exact optimum at level 1 by a descending scan with a shrinking top-k pool.
 
     At start value s the admissible sets inside the tail have at most s
     elements, so the best is the top-s sum of the tail; scanning s downward
-    keeps a min-heap of the current kept values.
+    keeps a min-heap of the current kept values.  The witness is the top-s
+    entries, ties broken by index, of the smallest maximizing start's tail.
     """
     heap = []
     total = 0
     best = 0
-    for idx, val in reversed(values):
+    best_pos = 0
+    for pos in range(len(values) - 1, -1, -1):
+        idx, val = values[pos]
         heapq.heappush(heap, val)
         total += val
         while len(heap) > idx:
             total -= heapq.heappop(heap)
-        if total > best:
+        if total >= best:
             best = total
-    return best
-
-
-def _s1_best_with_witness(values):
-    """Quadratic variant recomputing each start's top-k sum afresh, so the
-    reported value and witness come from one summation order."""
-    best = 0
-    best_wit = ()
-    for idx, _ in values:
-        tail = [(v, i) for i, v in values if i >= idx]
-        tail.sort(key=lambda t: (-t[0], t[1]))
-        kept = tail[:idx]
-        s = sum(v for v, _ in kept)
-        if s > best:
-            best = s
-            best_wit = tuple(sorted(i for _, i in kept))
-    return best, best_wit
+            best_pos = pos
+    if not want_witness:
+        return best
+    start = values[best_pos][0]
+    tail = sorted(values[best_pos:], key=lambda t: (-t[1], t[0]))
+    return best, tuple(sorted(i for i, _ in tail[:start]))
 
 
 def _bnb_best(values, alpha, max_nodes):
@@ -63,38 +55,37 @@ def _bnb_best(values, alpha, max_nodes):
 
     Hereditary families allow pruning a branch as soon as the extended prefix
     leaves the family; remaining absolute mass bounds the achievable gain.
+    The search is depth-first on an explicit stack of [next position, member,
+    sum] frames, since a member can be as long as the support.
     """
-    idxs = [i for i, _ in values]
-    vals = [v for _, v in values]
+    idxs, vals = zip(*values)
     n = len(values)
-    suffix = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + vals[j]
+    suffix = list(accumulate(reversed(vals), initial=0))[::-1]
     best = 0
     best_wit = ()
     nodes = 0
-
-    def dfs(start, cur, cur_sum):
-        nonlocal best, best_wit, nodes
-        for j in range(start, n):
-            if cur_sum + suffix[j] <= best:
-                break
-            nodes += 1
-            if nodes > max_nodes:
-                raise BudgetExceeded(
-                    f"family norm search exceeded {max_nodes} nodes "
-                    f"(best so far {best})",
-                    attained=best,
-                )
-            cand = cur + (idxs[j],)
-            if schreier_member(cand, alpha):
-                new_sum = cur_sum + vals[j]
-                if new_sum > best:
-                    best = new_sum
-                    best_wit = cand
-                dfs(j + 1, cand, new_sum)
-
-    dfs(0, (), 0)
+    stack = [[0, (), 0]]
+    while stack:
+        frame = stack[-1]
+        j, cur, cur_sum = frame
+        if j >= n or cur_sum + suffix[j] <= best:
+            stack.pop()
+            continue
+        frame[0] = j + 1
+        nodes += 1
+        if nodes > max_nodes:
+            raise BudgetExceeded(
+                f"family norm search exceeded {max_nodes} nodes "
+                f"(best so far {best})",
+                attained=best,
+            )
+        cand = cur + (idxs[j],)
+        if schreier_member(cand, alpha):
+            new_sum = cur_sum + vals[j]
+            if new_sum > best:
+                best = new_sum
+                best_wit = cand
+            stack.append([j + 1, cand, new_sum])
     return best, best_wit
 
 
@@ -107,18 +98,14 @@ def schreier_alpha_norm(x: SparseVector, alpha: Ordinal, max_nodes=None,
     values = sorted((i, abs(v)) for i, v in x.entries.items())
     if not values:
         return (0, ()) if want_witness else 0
-    if alpha.is_zero:
-        best = max(v for _, v in values)
-        if not want_witness:
-            return best
-        wit = next((i,) for i, v in values if v == best)
-        return best, wit
     if alpha == ONE:
-        if not want_witness:
-            return _s1_best(values)
-        return _s1_best_with_witness(values)
-    budget = node_budget() if max_nodes is None else max_nodes
-    best, wit = _bnb_best(values, alpha, budget)
+        return _s1_best(values, want_witness)
+    if alpha.is_zero:
+        i, best = max(values, key=lambda t: t[1])
+        wit = (i,)
+    else:
+        budget = node_budget() if max_nodes is None else max_nodes
+        best, wit = _bnb_best(values, alpha, budget)
     return (best, wit) if want_witness else best
 
 
@@ -143,134 +130,134 @@ def naive_schreier_norm(x: SparseVector, alpha: Ordinal):
 # ---------------------------------------------------------------------------
 
 
-def _prefix_tables(coeffs):
-    zero = 0
-    ps = [zero]
-    for c in coeffs:
-        ps.append(ps[-1] + c)
-    n = len(coeffs)
-    # rmax[i][t] = max of ps[i+1 .. i+1+t]; rmin likewise
-    rmax = []
-    rmin = []
-    for i in range(n):
-        row_max = []
-        row_min = []
-        cur_max = cur_min = ps[i + 1]
-        for j in range(i + 1, n + 1):
-            if ps[j] > cur_max:
-                cur_max = ps[j]
-            if ps[j] < cur_min:
-                cur_min = ps[j]
-            row_max.append(cur_max)
-            row_min.append(cur_min)
-        rmax.append(row_max)
-        rmin.append(row_min)
-    return ps, rmax, rmin
-
-
 def _james_dp_level1(support, coeffs, want_witness=False):
     """Exact interval-system optimum when minima only need size <= 2*min.
 
     Minima may be restricted to support points: sliding an interval's start
     right to its first support point keeps every block sum and only spreads
-    the minima set, which stays in the family.  Chains are scored by a DP over
-    (start position, intervals allowed); each gap contributes its best prefix
-    sum deviation.
+    the minima set, which stays in the family.  With prefix sums ps, an
+    interval starting at position i and ending before position q scores
+    |ps[q] - ps[i]|.  F[t][p] is the best chain of at most t intervals
+    starting at positions >= p, and the best chain of at most t intervals
+    whose first starts at i is
+
+        S[t][i] = max over q > i of  |ps[q] - ps[i]| + F[t-1][q],
+
+    taken from running suffix maxima of +-ps[q] + F[t-1][q].  The first
+    minimum caps the chain length, so the optimum is max_i S[tcaps[i]][i].
     """
     n = len(support)
     if n == 0:
         return (0, ()) if want_witness else 0
-    ps, rmax, rmin = _prefix_tables(coeffs)
-
-    def gapbest(i, r):
-        # best |interval sum| for an interval starting at position i and
-        # ending before position r (r = n allows running to the end)
-        t = r - i - 1
-        a = rmax[i][t] - ps[i]
-        b = ps[i] - rmin[i][t]
-        return a if a >= b else b
-
+    ps = list(accumulate(coeffs, initial=0))
     tcaps = [min(2 * support[i], n - i) for i in range(n)]
     tmax = max(tcaps)
-    est_ops = n * n * tmax
+    est_ops = n * tmax
     if est_ops > james_ops_budget():
         raise BudgetExceeded(
             f"interval-system DP needs ~{est_ops} operations, over budget"
         )
 
-    stop_val = [gapbest(i, n) for i in range(n)]
-    levels = [None, stop_val[:]]
-    choice = [None, [None] * n] if want_witness else None
-    for t in range(2, tmax + 1):
-        prev = levels[t - 1]
-        cur = stop_val[:]
-        ch = [None] * n if want_witness else None
+    capped = [0] * n
+    F = [0] * (n + 1)
+    rows = [F]
+    for t in range(1, tmax + 1):
+        nxt = [0] * (n + 1)
+        up, dn = ps[n], -ps[n]  # q = n: the interval runs to the end
         for i in range(n - 1, -1, -1):
-            best_i = cur[i]
-            arg = None
-            for r in range(i + 1, n):
-                cand = gapbest(i, r) + prev[r]
-                if cand > best_i:
-                    best_i = cand
-                    arg = r
-            cur[i] = best_i
-            if want_witness:
-                ch[i] = arg
-        levels.append(cur)
+            p = ps[i]
+            a = up - p
+            b = dn + p
+            s = a if a >= b else b
+            if tcaps[i] == t:
+                capped[i] = s
+            f = nxt[i + 1]
+            nxt[i] = s if s > f else f
+            f = F[i]
+            if p + f > up:
+                up = p + f
+            if f - p > dn:
+                dn = f - p
+        F = nxt
         if want_witness:
-            choice.append(ch)
+            rows.append(F)
 
-    best = 0
-    best_start = None
-    for i in range(n):
-        v = levels[tcaps[i]][i]
-        if v > best:
-            best = v
-            best_start = i
+    best_start = max(range(n), key=capped.__getitem__)
+    best = capped[best_start]
     if not want_witness:
         return best
-    if best_start is None:
-        return best, ()
-    # walk the DP choices to recover the minima chain
+    # walk the rows back: find the end q of the interval starting at i that
+    # attains the target; the rest of the chain is worth F[t-1][q], which
+    # S[t-1][r] attains at the last r >= q where F[t-1] still equals it
     minima = []
-    i, t = best_start, tcaps[best_start]
-    while i is not None:
+    i, t, target = best_start, tcaps[best_start], best
+    while True:
         minima.append(support[i])
-        nxt = choice[t][i] if t >= 2 else None
-        if nxt is None:
+        F = rows[t - 1]
+        q = next(q for q in range(i + 1, n + 1)
+                 if max((ps[q] + F[q]) - ps[i], (F[q] - ps[q]) + ps[i]) == target)
+        target = F[q]
+        if not target:
             break
-        i, t = nxt, t - 1
+        i = q
+        while F[i + 1] == target:
+            i += 1
+        t -= 1
     return best, tuple(minima)
 
 
 def _james_dfs(support, coeffs, alpha, max_nodes):
-    """General-level interval-system search over support minima with pruning."""
-    n = len(support)
-    if n == 0:
-        return 0
-    ps, rmax, rmin = _prefix_tables(coeffs)
-    abs_suffix = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        abs_suffix[j] = abs_suffix[j + 1] + abs(coeffs[j])
+    """General-level interval-system search over support minima with pruning.
 
-    def gapbest(i, r):
-        t = r - i - 1
-        a = rmax[i][t] - ps[i]
-        b = ps[i] - rmin[i][t]
-        return a if a >= b else b
+    Returns the best value and the minima chain that attains it.  A gap from
+    position i to the end takes its extreme prefix sums from suffix arrays;
+    a gap ending before a later start takes them from running extremes.
+    """
+    n = len(support)
+    ps = list(accumulate(coeffs, initial=0))
+    sufmax = list(accumulate(reversed(ps), max))[::-1]
+    sufmin = list(accumulate(reversed(ps), min))[::-1]
+    abs_suffix = list(accumulate(map(abs, reversed(coeffs)), initial=0))[::-1]
 
     best = 0
+    best_wit = ()
     nodes = 0
+    stack = []
 
-    def dfs(minima, last_pos, closed):
-        nonlocal best, nodes
-        # current chain ends with an open interval from last_pos
-        total_stop = closed + gapbest(last_pos, n)
+    def open_chain(minima, pos, closed):
+        # the chain ends with an open interval from pos: score it running to
+        # the end, then push a frame [next start, minima, pos, closed, running
+        # max, running min] that tries each later start
+        nonlocal best, best_wit
+        base = ps[pos]
+        a = sufmax[pos + 1] - base
+        b = base - sufmin[pos + 1]
+        total_stop = closed + (a if a >= b else b)
         if total_stop > best:
             best = total_stop
-        for r in range(last_pos + 1, n):
-            bound = closed + gapbest(last_pos, r) + abs_suffix[r]
-            if bound <= best:
+            best_wit = minima
+        stack.append([pos + 1, minima, pos, closed, ps[pos + 1], ps[pos + 1]])
+
+    for i in range(n):
+        if not f_alpha_member((support[i],), alpha):
+            continue
+        open_chain((support[i],), i, 0)
+        while stack:
+            frame = stack[-1]
+            r, minima, pos, closed, hi, lo = frame
+            if r == n:
+                stack.pop()
+                continue
+            p = ps[r]
+            if p > hi:
+                hi = p
+            if p < lo:
+                lo = p
+            frame[0], frame[4], frame[5] = r + 1, hi, lo
+            a = hi - ps[pos]
+            b = ps[pos] - lo
+            gap = a if a >= b else b
+            if closed + gap + abs_suffix[r] <= best:
                 continue
             nodes += 1
             if nodes > max_nodes:
@@ -280,12 +267,8 @@ def _james_dfs(support, coeffs, alpha, max_nodes):
                 )
             cand = minima + (support[r],)
             if f_alpha_member(cand, alpha):
-                dfs(cand, r, closed + gapbest(last_pos, r))
-
-    for i in range(n):
-        if f_alpha_member((support[i],), alpha):
-            dfs((support[i],), i, 0)
-    return best
+                open_chain(cand, r, closed + gap)
+    return best, best_wit
 
 
 def jamesification_norm(x: SparseVector, alpha: Ordinal = ONE, max_nodes=None,
@@ -298,8 +281,8 @@ def jamesification_norm(x: SparseVector, alpha: Ordinal = ONE, max_nodes=None,
     if alpha == ONE:
         return _james_dp_level1(support, coeffs, want_witness=want_witness)
     budget = node_budget() if max_nodes is None else max_nodes
-    best = _james_dfs(support, coeffs, alpha, budget)
-    return (best, None) if want_witness else best
+    best, wit = _james_dfs(support, coeffs, alpha, budget)
+    return (best, wit) if want_witness else best
 
 
 def naive_james_norm(x: SparseVector, alpha: Ordinal = ONE):

@@ -65,6 +65,17 @@ def _max_prefix(items: tuple, start: int, alpha: Ordinal) -> int:
     return pos
 
 
+def _greedy_blocks(items: tuple, pred: Ordinal) -> list:
+    """Cut items into consecutive greedy-maximal blocks at level pred."""
+    blocks = []
+    pos = 0
+    while pos < len(items):
+        end = _max_prefix(items, pos, pred)
+        blocks.append(items[pos:end])
+        pos = end
+    return blocks
+
+
 def schreier_member(E, alpha: Ordinal) -> bool:
     """True iff E belongs to the level-alpha family; the empty set always does."""
     E = check_index_set(E)
@@ -90,13 +101,7 @@ def schreier_decompose(E, alpha: Ordinal):
         return []
     if not schreier_member(E, alpha):
         return None
-    pred = alpha.predecessor()
-    blocks = []
-    pos = 0
-    while pos < len(E):
-        end = _max_prefix(E, pos, pred)
-        blocks.append(E[pos:end])
-        pos = end
+    blocks = _greedy_blocks(E, alpha.predecessor())
     assert len(blocks) <= E[0]
     return blocks
 
@@ -174,15 +179,7 @@ def _require_f_level(alpha: Ordinal):
 def f_alpha_blocks(F, alpha: Ordinal):
     """Greedy-maximal decomposition of F into blocks one level below alpha."""
     _require_f_level(alpha)
-    F = check_index_set(F)
-    pred = alpha.predecessor()
-    blocks = []
-    pos = 0
-    while pos < len(F):
-        end = _max_prefix(F, pos, pred)
-        blocks.append(F[pos:end])
-        pos = end
-    return blocks
+    return _greedy_blocks(check_index_set(F), alpha.predecessor())
 
 
 def f_alpha_member(F, alpha: Ordinal) -> bool:

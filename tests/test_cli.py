@@ -38,6 +38,15 @@ def test_norm_eval(capsys):
     payload = json.loads(out)
     assert payload["space"] == "james:a=1"
     assert payload["norm"] == 2.5
+    assert payload["witness"] == [3, 4, 5]
+
+    # the level-2 search reports the minima chain it attains
+    code, out = run_cli(capsys, "norm", "eval", "--space", "james:a=2",
+                        "--vec", "3:1,4:-0.5,5:1,9:2,10:-1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["norm"] == 5.5
+    assert payload["witness"] == [3, 4, 5, 9, 10]
 
 
 def test_tga_run(capsys):

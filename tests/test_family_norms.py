@@ -2,16 +2,45 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from greedylab.config import BudgetExceeded
-from greedylab.family_norms import (jamesification_norm, naive_james_norm,
-                                    naive_schreier_norm, schreier_alpha_norm,
-                                    weighted_schreier_norm)
+from greedylab.config import BudgetExceeded, node_budget
+from greedylab.family_norms import (_james_dfs, jamesification_norm,
+                                    naive_james_norm, naive_schreier_norm,
+                                    schreier_alpha_norm, weighted_schreier_norm)
 from greedylab.ordinals import ONE, ZERO, parse_ordinal
 from greedylab.schreier import f_alpha_member, schreier_member
 from greedylab.vectors import SparseVector
 
 TWO = parse_ordinal("2")
+
+
+def _exact_vectors(max_index, max_size):
+    coeffs = st.fractions(min_value=-8, max_value=8, max_denominator=9)
+    return st.dictionaries(st.integers(1, max_index), coeffs, min_size=1,
+                           max_size=max_size).map(SparseVector)
+
+
+def _chain_value(x, minima):
+    """Interval-system value of a minima chain: each interval runs from its
+    minimum to before the next one and takes its best end."""
+    ends = list(minima[1:]) + [x.max_index() + 1]
+    total = 0
+    for lo, hi in zip(minima, ends):
+        run = best = 0
+        for i in x.support:
+            if lo <= i < hi:
+                run += x.get(i)
+                best = max(best, abs(run))
+        total += best
+    return total
+
+
+def _assert_attaining_chain(x, alpha, value, minima):
+    assert f_alpha_member(minima, alpha)
+    assert set(minima) <= set(x.support)
+    assert _chain_value(x, minima) == value
 
 
 def _random_vector(rng, hi, size_hi, exact=False):
@@ -56,12 +85,44 @@ def test_family_norm_witness_is_member():
             val, wit = schreier_alpha_norm(x, alpha, want_witness=True)
             assert schreier_member(wit, alpha)
             assert abs(sum(abs(x.get(i)) for i in wit) - val) < 1e-12
+    # level 1, exact payloads: the witness sums exactly to the value and is
+    # the top-s entries, ties by index, of the smallest maximizing start s's
+    # tail (starts 2 and 3 tie on the first vector)
+    vectors = [SparseVector({2: 5, 3: 5, 4: 5})]
+    for n in (7, 60, 1000):
+        vectors.append(SparseVector({
+            i: rng.randint(1, 1000) if n == 1000 else
+            Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+            for i in rng.sample(range(1, 2 * n + 1), n)}))
+    for x in vectors:
+        val, wit = schreier_alpha_norm(x, ONE, want_witness=True)
+        assert val == schreier_alpha_norm(x, ONE)
+        assert sum(abs(x.get(i)) for i in wit) == val
+        tops = {s: sorted((i for i in x.support if i >= s),
+                          key=lambda i: (-abs(x.get(i)), i))[:s]
+                for s in x.support}
+        start = min(s for s in x.support
+                    if sum(abs(x.get(i)) for i in tops[s]) == val)
+        assert wit == tuple(sorted(tops[start]))
+    assert schreier_alpha_norm(vectors[0], ONE, want_witness=True)[1] == (2, 3)
 
 
 def test_family_norm_budget_error():
     x = SparseVector({i: 1.0 for i in range(3, 30)})
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as info:
         schreier_alpha_norm(x, TWO, max_nodes=5)
+    # depth-first from 3: the first five nodes build the member {3, ..., 7}
+    assert info.value.attained == 5
+
+
+def test_family_norm_searches_have_no_depth_limit():
+    # members as long as the support: the searches keep their own stacks
+    ones = SparseVector({i: 1 for i in range(3, 1203)})
+    assert schreier_alpha_norm(ones, parse_ordinal("3"),
+                               want_witness=True) == (1200, ones.support)
+    alternating = SparseVector({i: (-1) ** i for i in range(100, 1200)})
+    val, minima = jamesification_norm(alternating, TWO, want_witness=True)
+    assert val == 1100 and minima == alternating.support
 
 
 def test_james_examples():
@@ -95,6 +156,45 @@ def test_james_matches_naive_small():
     for _ in range(150):
         x = _random_vector(rng, 8, 5)
         assert abs(jamesification_norm(x) - naive_james_norm(x)) < 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_exact_vectors(10, 10))
+def test_james_level_one_matches_naive_exact(x):
+    val, minima = jamesification_norm(x, want_witness=True)
+    assert val == jamesification_norm(x) == naive_james_norm(x)
+    _assert_attaining_chain(x, ONE, val, minima)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_exact_vectors(24, 20))
+def test_james_level_one_matches_search_exact(x):
+    support = list(x.support)
+    coeffs = [x.get(i) for i in support]
+    val, minima = jamesification_norm(x, want_witness=True)
+    found, chain = _james_dfs(support, coeffs, ONE, node_budget())
+    assert val == found
+    _assert_attaining_chain(x, ONE, val, minima)
+    _assert_attaining_chain(x, ONE, val, chain)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_exact_vectors(30, 12))
+def test_james_witness_attains_value_at_every_level(x):
+    for alpha in (TWO, parse_ordinal("3"), parse_ordinal("w+1")):
+        val, minima = jamesification_norm(x, alpha, want_witness=True)
+        assert val == jamesification_norm(x, alpha)
+        _assert_attaining_chain(x, alpha, val, minima)
+
+
+def test_james_level_one_large_support_under_default_budget(monkeypatch):
+    monkeypatch.delenv("GREEDYLAB_BUDGET", raising=False)
+    rng = random.Random(53)
+    x = SparseVector({i: rng.choice((-1, 1)) * rng.randint(1, 9)
+                      for i in range(1, 513)})
+    val, minima = jamesification_norm(x, want_witness=True)
+    assert val == jamesification_norm(x)
+    _assert_attaining_chain(x, ONE, val, minima)
 
 
 def test_james_general_level_matches_naive_small():
