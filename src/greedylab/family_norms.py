@@ -12,8 +12,8 @@ import heapq
 from itertools import accumulate, combinations, product
 
 from .config import BudgetExceeded, james_ops_budget, node_budget
-from .ordinals import ONE, Ordinal
-from .schreier import FamilyError, f_alpha_member, schreier_member
+from .ordinals import ONE, Ordinal, fundamental_term
+from .schreier import FamilyError, _max_prefix, f_alpha_member, schreier_member
 from .vectors import SparseVector
 
 
@@ -50,43 +50,180 @@ def _s1_best(values, want_witness=False):
     return best, tuple(sorted(i for i, _ in tail[:start]))
 
 
-def _bnb_best(values, alpha, max_nodes):
-    """Branch-and-bound over members inside the support, pruned by tail mass.
+class _WindowDP:
+    """Best member of each level inside each window of support positions.
 
-    Hereditary families allow pruning a branch as soon as the extended prefix
-    leaves the family; remaining absolute mass bounds the achievable gain.
-    The search is depth-first on an explicit stack of [next position, member,
-    sum] frames, since a member can be as long as the support.
+    `best(level, s, r)` is the largest sum over level-`level` members whose
+    elements sit at positions s..r-1.  A window that is itself a member is
+    worth its sum, since values are >= 0 and the families are hereditary;
+    any other window reads a row memoised on (level, r) and filled downward
+    from r on demand:
+
+    - level 1: the `_s1_best` heap scan, resumed per right end r;
+    - successor level b+1: C[u][k], the best union of at most k successive
+      level-b members inside [u, r), is the larger of C[u+1][k] and
+      best(b, u, w) + C[w][k-1] over w > u.  A union inside [t, r) of at
+      most idx[t] blocks has at most its minimum many, so the row is the
+      running max of C[t][idx[t]];
+    - limit level: a member whose minimum sits at t lies at the successor of
+      the idx[t]-th fundamental term, and every member of that level inside
+      [t, r) lies at the limit level (its minimum is >= idx[t]), so the row
+      is the running max of those values.
+
+    Every table entry and every candidate of a max is one cell; the DP
+    raises BudgetExceeded, carrying the sum of the greedy-maximal member
+    from the first position, rather than pass `max_cells`.
     """
-    idxs, vals = zip(*values)
-    n = len(values)
-    suffix = list(accumulate(reversed(vals), initial=0))[::-1]
-    best = 0
-    best_wit = ()
-    nodes = 0
-    stack = [[0, (), 0]]
-    while stack:
-        frame = stack[-1]
-        j, cur, cur_sum = frame
-        if j >= n or cur_sum + suffix[j] <= best:
-            stack.pop()
-            continue
-        frame[0] = j + 1
-        nodes += 1
-        if nodes > max_nodes:
+
+    def __init__(self, values, alpha, max_cells):
+        self.idxs = tuple(i for i, _ in values)
+        self.vals = [v for _, v in values]
+        self.ps = list(accumulate(self.vals, initial=0))
+        self.alpha = alpha
+        self.max_cells = max_cells
+        self.cells = 0
+        self._reach = {}
+        self._rows = {}
+
+    def reach(self, level, s):
+        """End of the longest member prefix of the positions from s."""
+        key = (level, s)
+        end = self._reach.get(key)
+        if end is None:
+            end = self._reach[key] = _max_prefix(self.idxs, s, level)
+        return end
+
+    def _spend(self, cells):
+        if self.cells + cells > self.max_cells:
+            held = self.ps[self.reach(self.alpha, 0)]
             raise BudgetExceeded(
-                f"family norm search exceeded {max_nodes} nodes "
-                f"(best so far {best})",
-                attained=best,
+                f"family norm DP would exceed {self.max_cells} cells "
+                f"(greedy member attains {held})",
+                attained=held,
             )
-        cand = cur + (idxs[j],)
-        if schreier_member(cand, alpha):
-            new_sum = cur_sum + vals[j]
-            if new_sum > best:
-                best = new_sum
-                best_wit = cand
-            stack.append([j + 1, cand, new_sum])
-    return best, best_wit
+        self.cells += cells
+
+    def best(self, level, s, r):
+        if self.reach(level, s) >= r:
+            return self.ps[r] - self.ps[s]
+        row = self._rows.get((level, r))
+        if row is None:
+            row = self._rows[(level, r)] = _Row(r)
+        if row.lo > s:
+            self._fill(level, row, s, r)
+        return row.best[s]
+
+    def _fill(self, level, row, s, r):
+        idxs, vals, ps = self.idxs, self.vals, self.ps
+        W = row.best
+        positions = range(row.lo - 1, s - 1, -1)
+        if level == ONE:
+            self._spend(row.lo - s)
+            heap, total = row.heap, row.total
+            for u in positions:
+                heapq.heappush(heap, vals[u])
+                total += vals[u]
+                while len(heap) > idxs[u]:
+                    total -= heapq.heappop(heap)
+                W[u] = total if total >= W[u + 1] else W[u + 1]
+            row.total = total
+        elif level.is_limit:
+            for u in positions:
+                self._spend(1)
+                v = self.best(fundamental_term(level, idxs[u]).successor(), u, r)
+                W[u] = v if v > W[u + 1] else W[u + 1]
+        else:
+            pred = level.predecessor()
+            cols = row.cols
+            for u in positions:
+                K = min(idxs[u], r - u)
+                self._spend(K * (r - u))
+                nxt = cols[u + 1]
+                top = len(nxt) - 1
+                col = [0] + [nxt[min(k, top)] for k in range(1, K + 1)]
+                base = ps[u]
+                end = self.reach(pred, u)
+                for w in range(u + 1, r + 1):
+                    bw = ps[w] - base if w <= end else self.best(pred, u, w)
+                    rest = cols[w]
+                    for k, c in enumerate(rest[:K], 1):
+                        c += bw
+                        if c > col[k]:
+                            col[k] = c
+                    # C[w][j] for j past the positions left is C[w][-1]
+                    c = rest[-1] + bw
+                    for k in range(len(rest) + 1, K + 1):
+                        if c > col[k]:
+                            col[k] = c
+                cols[u] = col
+                W[u] = col[K] if col[K] > W[u + 1] else W[u + 1]
+        row.lo = s
+
+    def witness(self, level, s, r):
+        """A member inside [s, r) attaining best(level, s, r), read back
+        from the row that computed it."""
+        idxs = self.idxs
+        if self.reach(level, s) >= r:
+            return idxs[s:r]
+        if level == ONE:
+            return _s1_best(list(zip(idxs[s:r], self.vals[s:r])), True)[1]
+        target = self.best(level, s, r)
+        if level.is_limit:
+            steps = ((fundamental_term(level, idxs[t]).successor(), t)
+                     for t in range(s, r))
+            step, t = next((b, t) for b, t in steps if self.best(b, t, r) == target)
+            return self.witness(step, t, r)
+        pred = level.predecessor()
+        cols = self._rows[(level, r)].cols
+        u = next(t for t in range(s, r) if cols[t][-1] == target)
+        k = len(cols[u]) - 1
+        out = ()
+        while target:
+            nxt = cols[u + 1]
+            if nxt[min(k, len(nxt) - 1)] == target:
+                u += 1
+                continue
+            for w in range(u + 1, r + 1):
+                rest = cols[w][min(k - 1, len(cols[w]) - 1)]
+                if self.best(pred, u, w) + rest == target:
+                    break
+            out += self.witness(pred, u, w)
+            u, k, target = w, k - 1, rest
+        return out
+
+
+class _Row:
+    """One memoised row: values for starts lo..r and the state that resumes
+    the fill below lo (the level-1 heap, or the C columns)."""
+
+    __slots__ = ("lo", "best", "heap", "total", "cols")
+
+    def __init__(self, r):
+        self.lo = r
+        self.best = [0] * (r + 1)
+        self.heap = []
+        self.total = 0
+        self.cols = [None] * r + [(0,)]
+
+
+def _family_best(values, alpha, max_cells, want_witness):
+    """Exact optimum at a level >= 2 by the window DP, with its witness.
+
+    The only member containing 1 is {1}, so index 1 is compared with the
+    optimum over the rest of the support.
+    """
+    head = None
+    if values[0][0] == 1:
+        head, values = values[0][1], values[1:]
+    best, wit = 0, ()
+    if values:
+        dp = _WindowDP(values, alpha, max_cells)
+        best = dp.best(alpha, 0, len(values))
+        if want_witness:
+            wit = dp.witness(alpha, 0, len(values))
+    if head is not None and head >= best:
+        best, wit = head, (1,)
+    return (best, wit) if want_witness else best
 
 
 def schreier_alpha_norm(x: SparseVector, alpha: Ordinal, max_nodes=None,
@@ -102,11 +239,9 @@ def schreier_alpha_norm(x: SparseVector, alpha: Ordinal, max_nodes=None,
         return _s1_best(values, want_witness)
     if alpha.is_zero:
         i, best = max(values, key=lambda t: t[1])
-        wit = (i,)
-    else:
-        budget = node_budget() if max_nodes is None else max_nodes
-        best, wit = _bnb_best(values, alpha, budget)
-    return (best, wit) if want_witness else best
+        return (best, (i,)) if want_witness else best
+    budget = node_budget() if max_nodes is None else max_nodes
+    return _family_best(values, alpha, budget, want_witness)
 
 
 def naive_schreier_norm(x: SparseVector, alpha: Ordinal):
@@ -206,14 +341,29 @@ def _james_dp_level1(support, coeffs, want_witness=False):
     return best, tuple(minima)
 
 
+def _append_block(minima, blocks, last, e, pred):
+    """Greedy block count and last-block start of minima + (e,) one level
+    below the relaxed family's level, from those of minima.
+
+    The earlier greedy blocks never change: e extends the last block when
+    that block plus e stays at `pred`, and otherwise opens a new one.
+    """
+    if schreier_member(minima[last:] + (e,), pred):
+        return blocks, last
+    return blocks + 1, len(minima)
+
+
 def _james_dfs(support, coeffs, alpha, max_nodes):
     """General-level interval-system search over support minima with pruning.
 
     Returns the best value and the minima chain that attains it.  A gap from
     position i to the end takes its extreme prefix sums from suffix arrays;
     a gap ending before a later start takes them from running extremes.
+    Each frame keeps its chain's greedy block count and last-block start, so
+    a candidate's relaxed-family membership tests only its last block.
     """
     n = len(support)
+    pred = alpha.predecessor()
     ps = list(accumulate(coeffs, initial=0))
     sufmax = list(accumulate(reversed(ps), max))[::-1]
     sufmin = list(accumulate(reversed(ps), min))[::-1]
@@ -224,10 +374,11 @@ def _james_dfs(support, coeffs, alpha, max_nodes):
     nodes = 0
     stack = []
 
-    def open_chain(minima, pos, closed):
+    def open_chain(minima, pos, closed, blocks, last):
         # the chain ends with an open interval from pos: score it running to
         # the end, then push a frame [next start, minima, pos, closed, running
-        # max, running min] that tries each later start
+        # max, running min, blocks, last-block start] that tries each later
+        # start
         nonlocal best, best_wit
         base = ps[pos]
         a = sufmax[pos + 1] - base
@@ -236,15 +387,14 @@ def _james_dfs(support, coeffs, alpha, max_nodes):
         if total_stop > best:
             best = total_stop
             best_wit = minima
-        stack.append([pos + 1, minima, pos, closed, ps[pos + 1], ps[pos + 1]])
+        stack.append([pos + 1, minima, pos, closed, ps[pos + 1], ps[pos + 1],
+                      blocks, last])
 
     for i in range(n):
-        if not f_alpha_member((support[i],), alpha):
-            continue
-        open_chain((support[i],), i, 0)
+        open_chain((support[i],), i, 0, 1, 0)
         while stack:
             frame = stack[-1]
-            r, minima, pos, closed, hi, lo = frame
+            r, minima, pos, closed, hi, lo, blocks, last = frame
             if r == n:
                 stack.pop()
                 continue
@@ -265,9 +415,9 @@ def _james_dfs(support, coeffs, alpha, max_nodes):
                     f"interval-system search exceeded {max_nodes} nodes",
                     attained=best,
                 )
-            cand = minima + (support[r],)
-            if f_alpha_member(cand, alpha):
-                open_chain(cand, r, closed + gap)
+            grown, start = _append_block(minima, blocks, last, support[r], pred)
+            if grown <= 2 * minima[0]:
+                open_chain(minima + (support[r],), r, closed + gap, grown, start)
     return best, best_wit
 
 

@@ -1,6 +1,10 @@
 import json
 
 from greedylab.cli import main
+from greedylab.ordinals import parse_ordinal
+from greedylab.schreier import schreier_member
+
+TWO = parse_ordinal("2")
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +51,17 @@ def test_norm_eval(capsys):
     payload = json.loads(out)
     assert payload["norm"] == 5.5
     assert payload["witness"] == [3, 4, 5, 9, 10]
+
+    # the level-2 sup norm reports a member attaining it; the support is not
+    # itself a member, so the value comes from the window DP
+    vec = {2: 5, 3: -1, 4: 2, 5: 1, 6: 3, 7: 1, 8: 2, 9: 1, 10: 4, 11: 1, 12: 1}
+    code, out = run_cli(capsys, "norm", "eval", "--space", "schreier:a=2",
+                        "--vec", ",".join(f"{i}:{v}" for i, v in vec.items()))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["norm"] == 19
+    assert schreier_member(payload["witness"], TWO)
+    assert sum(abs(vec[i]) for i in payload["witness"]) == 19
 
 
 def test_tga_run(capsys):

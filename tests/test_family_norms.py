@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedylab.config import BudgetExceeded, node_budget
-from greedylab.family_norms import (_james_dfs, jamesification_norm,
-                                    naive_james_norm, naive_schreier_norm,
-                                    schreier_alpha_norm, weighted_schreier_norm)
+from greedylab.family_norms import (_append_block, _james_dfs,
+                                    jamesification_norm, naive_james_norm,
+                                    naive_schreier_norm, schreier_alpha_norm,
+                                    weighted_schreier_norm)
 from greedylab.ordinals import ONE, ZERO, parse_ordinal
-from greedylab.schreier import f_alpha_member, schreier_member
+from greedylab.schreier import f_alpha_blocks, f_alpha_member, schreier_member
 from greedylab.vectors import SparseVector
 
 TWO = parse_ordinal("2")
@@ -111,8 +112,32 @@ def test_family_norm_budget_error():
     x = SparseVector({i: 1.0 for i in range(3, 30)})
     with pytest.raises(BudgetExceeded) as info:
         schreier_alpha_norm(x, TWO, max_nodes=5)
-    # depth-first from 3: the first five nodes build the member {3, ..., 7}
-    assert info.value.attained == 5
+    # the refusal carries the greedy-maximal member from 3: {3, ..., 23}
+    assert info.value.attained == 21
+
+
+SUP_LEVELS = tuple(parse_ordinal(t) for t in ("0", "1", "2", "3", "w", "w+1", "w*2"))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(_exact_vectors(24, 16), st.sampled_from(SUP_LEVELS), st.booleans())
+def test_family_norm_matches_naive_at_every_level(x, alpha, with_one):
+    if with_one:
+        x = SparseVector({**x.entries, 1: Fraction(7, 2)})
+    val, wit = schreier_alpha_norm(x, alpha, want_witness=True)
+    assert val == schreier_alpha_norm(x, alpha) == naive_schreier_norm(x, alpha)
+    assert schreier_member(wit, alpha) and set(wit) <= set(x.support)
+    assert sum(abs(x.get(i)) for i in wit) == val
+
+
+def test_family_norm_level_two_flat_run(monkeypatch):
+    monkeypatch.delenv("GREEDYLAB_BUDGET", raising=False)
+    # the best member starts at 4 and takes blocks of 4, 8 and 16 points,
+    # then the remaining 21; the member starting at 3 stops at 23
+    ones = SparseVector({i: 1 for i in range(3, 53)})
+    val, wit = schreier_alpha_norm(ones, TWO, want_witness=True)
+    assert val == 49 and schreier_alpha_norm(ones, TWO) == 49
+    assert schreier_member(wit, TWO) and len(wit) == 49
 
 
 def test_family_norm_searches_have_no_depth_limit():
@@ -123,6 +148,18 @@ def test_family_norm_searches_have_no_depth_limit():
     alternating = SparseVector({i: (-1) ** i for i in range(100, 1200)})
     val, minima = jamesification_norm(alternating, TWO, want_witness=True)
     assert val == 1100 and minima == alternating.support
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=30, unique=True),
+       st.sampled_from((ONE, TWO, parse_ordinal("3"), parse_ordinal("w+1"))))
+def test_append_block_counts_greedy_blocks(items, alpha):
+    items = tuple(sorted(items))
+    pred = alpha.predecessor()
+    blocks, last = 1, 0
+    for j in range(1, len(items)):
+        blocks, last = _append_block(items[:j], blocks, last, items[j], pred)
+        assert blocks == len(f_alpha_blocks(items[:j + 1], alpha))
 
 
 def test_james_examples():
