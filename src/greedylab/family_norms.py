@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import accumulate, combinations, product
+from operator import sub
 
 from .config import BudgetExceeded, james_ops_budget, node_budget
 from .ordinals import ONE, Ordinal, fundamental_term
@@ -53,18 +54,30 @@ def _s1_best(values, want_witness=False):
 class _WindowDP:
     """Best member of each level inside each window of support positions.
 
-    `best(level, s, r)` is the largest sum over level-`level` members whose
-    elements sit at positions s..r-1.  A window that is itself a member is
-    worth its sum, since values are >= 0 and the families are hereditary;
-    any other window reads a row memoised on (level, r) and filled downward
+    `best(level, s, r)` is the largest value of a level-`level` member whose
+    elements sit at positions s..r-1.  For the family sup norm that value is
+    the member's sum of |x|.  For the interval-system norm (`signed` given)
+    the member is the minima set of an interval chain inside the window, an
+    interval running from its minimum up to position r at most, and the
+    value is the chain's sum of |interval sums|; the top level `alpha` is the
+    relaxed family, up to twice the minimum many blocks one level down.
+
+    A window that is itself a member is worth its sum of |x|: values are
+    >= 0 and the families are hereditary, and for interval chains the
+    singleton intervals attain it while the triangle inequality bars more.
+    Any other window reads a row memoised on (level, r) and filled downward
     from r on demand:
 
-    - level 1: the `_s1_best` heap scan, resumed per right end r;
+    - sup norm, level 1: the `_s1_best` heap scan, resumed per right end r;
+    - interval norm, level 0: one interval, worth the widest spread of the
+      signed prefix sums over positions s..r (no row: a successor level
+      takes the spreads for all right ends from one running max and min);
     - successor level b+1: C[u][k], the best union of at most k successive
       level-b members inside [u, r), is the larger of C[u+1][k] and
       best(b, u, w) + C[w][k-1] over w > u.  A union inside [t, r) of at
-      most idx[t] blocks has at most its minimum many, so the row is the
-      running max of C[t][idx[t]];
+      most idx[t] blocks (2*idx[t] at the relaxed top) has at most its
+      minimum many (twice that), so the row is the running max of
+      C[t][idx[t]];
     - limit level: a member whose minimum sits at t lies at the successor of
       the idx[t]-th fundamental term, and every member of that level inside
       [t, r) lies at the limit level (its minimum is >= idx[t]), so the row
@@ -72,32 +85,47 @@ class _WindowDP:
 
     Every table entry and every candidate of a max is one cell; the DP
     raises BudgetExceeded, carrying the sum of the greedy-maximal member
-    from the first position, rather than pass `max_cells`.
+    from the first position, rather than pass `max_cells`, which defaults to
+    `node_budget()` once the first cell is spent.
     """
 
-    def __init__(self, values, alpha, max_cells):
+    def __init__(self, values, alpha, max_cells, signed=None):
         self.idxs = tuple(i for i, _ in values)
         self.vals = [v for _, v in values]
         self.ps = list(accumulate(self.vals, initial=0))
+        self.sp = None if signed is None else list(accumulate(signed, initial=0))
         self.alpha = alpha
         self.max_cells = max_cells
         self.cells = 0
         self._reach = {}
         self._rows = {}
 
+    def _relaxed(self, level):
+        return self.sp is not None and level == self.alpha
+
     def reach(self, level, s):
         """End of the longest member prefix of the positions from s."""
         key = (level, s)
         end = self._reach.get(key)
         if end is None:
-            end = self._reach[key] = _max_prefix(self.idxs, s, level)
+            if self._relaxed(level):
+                end, pred = s, level.predecessor()
+                for _ in range(2 * self.idxs[s]):
+                    if end == len(self.idxs):
+                        break
+                    end = self.reach(pred, end)
+            else:
+                end = _max_prefix(self.idxs, s, level)
+            self._reach[key] = end
         return end
 
     def _spend(self, cells):
+        if self.max_cells is None:
+            self.max_cells = node_budget()
         if self.cells + cells > self.max_cells:
             held = self.ps[self.reach(self.alpha, 0)]
             raise BudgetExceeded(
-                f"family norm DP would exceed {self.max_cells} cells "
+                f"window DP would exceed {self.max_cells} cells "
                 f"(greedy member attains {held})",
                 attained=held,
             )
@@ -113,11 +141,21 @@ class _WindowDP:
             self._fill(level, row, s, r)
         return row.best[s]
 
+    def _blocks(self, level, u, r):
+        """best(level, u, w) for w = u+1..r."""
+        if level.is_zero:
+            span = self.sp[u:r + 1]
+            return list(map(sub, accumulate(span, max), accumulate(span, min)))[1:]
+        ps = self.ps
+        base, end = ps[u], self.reach(level, u)
+        return [ps[w] - base if w <= end else self.best(level, u, w)
+                for w in range(u + 1, r + 1)]
+
     def _fill(self, level, row, s, r):
-        idxs, vals, ps = self.idxs, self.vals, self.ps
+        idxs, vals = self.idxs, self.vals
         W = row.best
         positions = range(row.lo - 1, s - 1, -1)
-        if level == ONE:
+        if level == ONE and self.sp is None:
             self._spend(row.lo - s)
             heap, total = row.heap, row.total
             for u in positions:
@@ -134,17 +172,15 @@ class _WindowDP:
                 W[u] = v if v > W[u + 1] else W[u + 1]
         else:
             pred = level.predecessor()
+            per_min = 2 if self._relaxed(level) else 1
             cols = row.cols
             for u in positions:
-                K = min(idxs[u], r - u)
+                K = min(per_min * idxs[u], r - u)
                 self._spend(K * (r - u))
                 nxt = cols[u + 1]
                 top = len(nxt) - 1
                 col = [0] + [nxt[min(k, top)] for k in range(1, K + 1)]
-                base = ps[u]
-                end = self.reach(pred, u)
-                for w in range(u + 1, r + 1):
-                    bw = ps[w] - base if w <= end else self.best(pred, u, w)
+                for w, bw in enumerate(self._blocks(pred, u, r), u + 1):
                     rest = cols[w]
                     for k, c in enumerate(rest[:K], 1):
                         c += bw
@@ -165,8 +201,12 @@ class _WindowDP:
         idxs = self.idxs
         if self.reach(level, s) >= r:
             return idxs[s:r]
-        if level == ONE:
+        if level == ONE and self.sp is None:
             return _s1_best(list(zip(idxs[s:r], self.vals[s:r])), True)[1]
+        if level.is_zero:
+            # the interval starts at the earlier of the extreme prefix sums
+            span = self.sp[s:r + 1]
+            return (idxs[s + min(span.index(max(span)), span.index(min(span)))],)
         target = self.best(level, s, r)
         if level.is_limit:
             steps = ((fundamental_term(level, idxs[t]).successor(), t)
@@ -183,9 +223,9 @@ class _WindowDP:
             if nxt[min(k, len(nxt) - 1)] == target:
                 u += 1
                 continue
-            for w in range(u + 1, r + 1):
+            for w, bw in enumerate(self._blocks(pred, u, r), u + 1):
                 rest = cols[w][min(k - 1, len(cols[w]) - 1)]
-                if self.best(pred, u, w) + rest == target:
+                if bw + rest == target:
                     break
             out += self.witness(pred, u, w)
             u, k, target = w, k - 1, rest
@@ -240,8 +280,7 @@ def schreier_alpha_norm(x: SparseVector, alpha: Ordinal, max_nodes=None,
     if alpha.is_zero:
         i, best = max(values, key=lambda t: t[1])
         return (best, (i,)) if want_witness else best
-    budget = node_budget() if max_nodes is None else max_nodes
-    return _family_best(values, alpha, budget, want_witness)
+    return _family_best(values, alpha, max_nodes, want_witness)
 
 
 def naive_schreier_norm(x: SparseVector, alpha: Ordinal):
@@ -341,84 +380,16 @@ def _james_dp_level1(support, coeffs, want_witness=False):
     return best, tuple(minima)
 
 
-def _append_block(minima, blocks, last, e, pred):
-    """Greedy block count and last-block start of minima + (e,) one level
-    below the relaxed family's level, from those of minima.
-
-    The earlier greedy blocks never change: e extends the last block when
-    that block plus e stays at `pred`, and otherwise opens a new one.
-    """
-    if schreier_member(minima[last:] + (e,), pred):
-        return blocks, last
-    return blocks + 1, len(minima)
-
-
-def _james_dfs(support, coeffs, alpha, max_nodes):
-    """General-level interval-system search over support minima with pruning.
-
-    Returns the best value and the minima chain that attains it.  A gap from
-    position i to the end takes its extreme prefix sums from suffix arrays;
-    a gap ending before a later start takes them from running extremes.
-    Each frame keeps its chain's greedy block count and last-block start, so
-    a candidate's relaxed-family membership tests only its last block.
-    """
+def _interval_best(support, coeffs, alpha, max_cells, want_witness):
+    """Exact interval-system optimum by the window DP, with the minima chain
+    that attains it."""
     n = len(support)
-    pred = alpha.predecessor()
-    ps = list(accumulate(coeffs, initial=0))
-    sufmax = list(accumulate(reversed(ps), max))[::-1]
-    sufmin = list(accumulate(reversed(ps), min))[::-1]
-    abs_suffix = list(accumulate(map(abs, reversed(coeffs)), initial=0))[::-1]
-
-    best = 0
-    best_wit = ()
-    nodes = 0
-    stack = []
-
-    def open_chain(minima, pos, closed, blocks, last):
-        # the chain ends with an open interval from pos: score it running to
-        # the end, then push a frame [next start, minima, pos, closed, running
-        # max, running min, blocks, last-block start] that tries each later
-        # start
-        nonlocal best, best_wit
-        base = ps[pos]
-        a = sufmax[pos + 1] - base
-        b = base - sufmin[pos + 1]
-        total_stop = closed + (a if a >= b else b)
-        if total_stop > best:
-            best = total_stop
-            best_wit = minima
-        stack.append([pos + 1, minima, pos, closed, ps[pos + 1], ps[pos + 1],
-                      blocks, last])
-
-    for i in range(n):
-        open_chain((support[i],), i, 0, 1, 0)
-        while stack:
-            frame = stack[-1]
-            r, minima, pos, closed, hi, lo, blocks, last = frame
-            if r == n:
-                stack.pop()
-                continue
-            p = ps[r]
-            if p > hi:
-                hi = p
-            if p < lo:
-                lo = p
-            frame[0], frame[4], frame[5] = r + 1, hi, lo
-            a = hi - ps[pos]
-            b = ps[pos] - lo
-            gap = a if a >= b else b
-            if closed + gap + abs_suffix[r] <= best:
-                continue
-            nodes += 1
-            if nodes > max_nodes:
-                raise BudgetExceeded(
-                    f"interval-system search exceeded {max_nodes} nodes",
-                    attained=best,
-                )
-            grown, start = _append_block(minima, blocks, last, support[r], pred)
-            if grown <= 2 * minima[0]:
-                open_chain(minima + (support[r],), r, closed + gap, grown, start)
-    return best, best_wit
+    if n == 0:
+        return (0, ()) if want_witness else 0
+    dp = _WindowDP(list(zip(support, map(abs, coeffs))), alpha, max_cells,
+                   signed=coeffs)
+    best = dp.best(alpha, 0, n)
+    return (best, dp.witness(alpha, 0, n)) if want_witness else best
 
 
 def jamesification_norm(x: SparseVector, alpha: Ordinal = ONE, max_nodes=None,
@@ -430,9 +401,7 @@ def jamesification_norm(x: SparseVector, alpha: Ordinal = ONE, max_nodes=None,
     coeffs = [x.get(i) for i in support]
     if alpha == ONE:
         return _james_dp_level1(support, coeffs, want_witness=want_witness)
-    budget = node_budget() if max_nodes is None else max_nodes
-    best, wit = _james_dfs(support, coeffs, alpha, budget)
-    return (best, wit) if want_witness else best
+    return _interval_best(support, coeffs, alpha, max_nodes, want_witness)
 
 
 def naive_james_norm(x: SparseVector, alpha: Ordinal = ONE):

@@ -20,8 +20,9 @@ from .family_norms import jamesification_norm, weighted_schreier_norm
 from .greedy import SearchSpec, estimate_constant
 from .norms import kt_block_norm
 from .ordinals import Ordinal, OrdinalError, parse_ordinal
-from .rah import (IndexStream, democracy_growth_table, int_descriptor,
-                  make_weight_family, rah_sequence, weight_family_certificates)
+from .rah import (IndexStream, ShiftedInt, democracy_growth_table,
+                  int_descriptor, make_weight_family, rah_sequence,
+                  weight_family_certificates)
 from .schreier import min_level_find
 from .spaces import make_space
 from .vectors import SparseVector
@@ -105,8 +106,8 @@ def parse_config(path) -> ExperimentSpec:
 
 
 def _sanitize(obj):
-    """Make results JSON-safe: big integers become descriptors, Fractions
-    become num/den pairs."""
+    """Make results JSON-safe: big integers and ShiftedInt forms become
+    descriptors, Fractions become num/den pairs."""
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -115,7 +116,7 @@ def _sanitize(obj):
         return {"num": _sanitize(obj.numerator), "den": _sanitize(obj.denominator)}
     if isinstance(obj, bool) or obj is None:
         return obj
-    if isinstance(obj, int):
+    if isinstance(obj, (int, ShiftedInt)):
         return int_descriptor(obj)
     return obj
 

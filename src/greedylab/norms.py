@@ -104,20 +104,19 @@ class NormOracle:
     certified: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def norm(self, x: SparseVector):
+    def _check_cap(self, x: SparseVector):
         if x.entries and x.max_index() > self.dimension_cap:
             raise NormDomainError(
                 f"support index {x.max_index()} exceeds the cap "
                 f"{self.dimension_cap} of space {self.name}"
             )
+
+    def norm(self, x: SparseVector):
+        self._check_cap(x)
         return self.evaluate(x)
 
     def norm_with_witness(self, x: SparseVector):
         if self.witness_fn is None:
             return self.norm(x), None
-        if x.entries and x.max_index() > self.dimension_cap:
-            raise NormDomainError(
-                f"support index {x.max_index()} exceeds the cap "
-                f"{self.dimension_cap} of space {self.name}"
-            )
+        self._check_cap(x)
         return self.witness_fn(x)

@@ -10,8 +10,9 @@ certificates are strict Fraction inequalities.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .config import BudgetExceeded, support_budget
 from .family_norms import schreier_alpha_norm
@@ -199,7 +200,7 @@ def _checked_exponent(bits: int) -> int:
             f"a shift by a {bits.bit_length()}-bit exponent exceeds the "
             f"materialization cap of {MATERIALIZE_SHIFT_CAP} bits"
         )
-    return bits
+    return int(bits)
 
 
 class ShiftedInt:
@@ -233,6 +234,8 @@ class ShiftedInt:
         value = self.head << self.shift
         # adding a zero offset would still copy a wide value
         return value + self.offset if self.offset else value
+
+    __index__ = __int__
 
     def __repr__(self) -> str:
         return f"ShiftedInt({self.head}, {self.shift}, {self.offset})"
@@ -292,7 +295,7 @@ class ShiftedInt:
 
     def __mul__(self, k):
         if not isinstance(k, int):
-            return NotImplemented
+            return int(self) * k
         return ShiftedInt(self.head * k, self.shift, self.offset * k)
 
     __rmul__ = __mul__
@@ -334,35 +337,39 @@ class GeometricBlock:
     Run bounds and endpoints are ShiftedInt forms of the start, whose head
     stays the odd part of the first block's start along a family, so blocks
     too large to enumerate still answer point queries, partial sums and
-    exact certificates with small-integer work.  `start` may be given as a
-    ShiftedInt; it is stored as an int next to its canonical `start_form`.
+    exact certificates with small-integer work.  `start_form` may be given
+    as an int or a ShiftedInt and is kept in canonical form; the start is
+    expanded to an int only where a point query or a materialisation lands
+    inside the block.
     """
 
     level: int
-    # repr shows the form: a wide start has too many digits to print
-    start: int = field(repr=False)
-    start_form: ShiftedInt = field(init=False, compare=False)
+    start_form: ShiftedInt
 
     def __post_init__(self):
         if self.level not in (0, 1):
             raise FamilyError(
                 f"weight blocks are implemented for levels 0 and 1, got {self.level}"
             )
-        if self.start < 2:
+        if self.start_form < 2:
             raise FamilyError("block start must be at least 2")
-        form = self.start
+        form = self.start_form
         if isinstance(form, int) or form.offset or not form.head & 1:
-            form = ShiftedInt.of(int(form))
-        object.__setattr__(self, "start", int(form))
-        object.__setattr__(self, "start_form", form)
+            object.__setattr__(self, "start_form", ShiftedInt.of(int(form)))
+
+    @cached_property
+    def start(self) -> int:
+        """The start as an int, expanded on first use; deep in a family it
+        is wide."""
+        return int(self.start_form)
 
     @property
     def min_index(self) -> int:
         return self.start
 
     @property
-    def run_count(self) -> int:
-        return 1 if self.level == 0 else self.start
+    def run_count(self):
+        return 1 if self.level == 0 else self.start_form
 
     def run_bounds(self, n: int):
         """(lo, hi) of the n-th run, 1-based, as ShiftedInt forms."""
@@ -384,30 +391,26 @@ class GeometricBlock:
         lo, hi = self.run_bounds(n)
         return int(lo), int(hi), self._weight(n)
 
-    def run_of_index(self, i: int):
-        """1-based run number owning index i, or None."""
-        start = self.start
-        if i < start:
-            return None
-        if self.level == 0:
-            return 1 if i < 2 * start else None
-        n = (i // start).bit_length()
-        return n if n <= start else None
-
     def _run_containing(self, i):
-        """Number n of the range [start*2^(n-1), start*2^n - 1] holding
-        i >= start; it exceeds run_count past the block."""
-        n = i.bit_length() - self.start_form.bit_length() + 1
-        return n if i >= self.start_form << (n - 1) else n - 1
+        """Number n of the range [start*2^(n-1), start*2^n - 1] holding i,
+        an int or a form at or past the start: 0 below the start, above
+        run_count past the block.  Neither branch expands a wide operand."""
+        form = self.start_form
+        if isinstance(i, int):
+            # the bit length of i // start; the canonical form has no offset
+            return ((i >> form.shift) // form.head).bit_length()
+        n = i.bit_length() - form.bit_length() + 1
+        return n if i >= form << (n - 1) else n - 1
 
     def weight_at(self, i: int):
-        n = self.run_of_index(i)
-        if n is None:
+        n = self._run_containing(i)
+        # past the start, expanding it costs no more than i itself
+        if n == 0 or n > (1 if self.level == 0 else self.start):
             return None
         return self._weight(n)
 
     def max_index(self) -> ShiftedInt:
-        exponent = 1 if self.level == 0 else _checked_exponent(self.start)
+        exponent = 1 if self.level == 0 else _checked_exponent(self.start_form)
         return (self.start_form << exponent) - 1
 
     def size(self) -> ShiftedInt:
@@ -446,7 +449,7 @@ class GeometricBlock:
 
     def to_sparse(self) -> SparseVector:
         """Materialize the weight vector (small blocks only)."""
-        if self.level == 1 and self.start > 16:
+        if self.level == 1 and self.start_form > 16:
             raise RangeNotMaterializable(
                 f"refusing to materialize a level-1 block of start {self.start}"
             )
@@ -560,14 +563,11 @@ def make_weight_family(alpha, count: int, n0: int) -> WeightFamily:
 
 
 def _sample_run_numbers(block: GeometricBlock):
-    rc = block.run_count
-    if rc <= 4096:
-        picks = [1, 2, rc // 2, rc]
-    elif rc <= MATERIALIZE_SHIFT_CAP:
-        picks = [1, 2, 64, rc]
-    else:
+    if not block.materializable:
         # runs deep inside an unmaterializable block cannot be expanded
-        picks = [1, 2, 64]
+        return [1, 2, 64]
+    rc = int(block.run_count)
+    picks = [1, 2, rc // 2, rc] if rc <= 4096 else [1, 2, 64, rc]
     return sorted({n for n in picks if 1 <= n <= rc})
 
 
@@ -638,9 +638,9 @@ def democracy_growth_table(family: WeightFamily) -> list:
                 partner = _partner(last.max_index() + 1, size, "beyond-family")
         rows.append({
             "block": pos,
-            "min": block.min_index,
+            "min": block.start_form,
             "partner": partner,
             "partner_norm": 1,
-            "ratio": block.min_index,
+            "ratio": block.start_form,
         })
     return rows

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greedylab.config import BudgetExceeded, node_budget
-from greedylab.family_norms import (_append_block, _james_dfs,
-                                    jamesification_norm, naive_james_norm,
-                                    naive_schreier_norm, schreier_alpha_norm,
-                                    weighted_schreier_norm)
+from greedylab import family_norms
+from greedylab.config import BudgetExceeded
+from greedylab.family_norms import (_interval_best, jamesification_norm,
+                                    naive_james_norm, naive_schreier_norm,
+                                    schreier_alpha_norm, weighted_schreier_norm)
 from greedylab.ordinals import ONE, ZERO, parse_ordinal
-from greedylab.schreier import f_alpha_blocks, f_alpha_member, schreier_member
+from greedylab.schreier import f_alpha_member, schreier_member
 from greedylab.vectors import SparseVector
 
 TWO = parse_ordinal("2")
@@ -150,16 +150,22 @@ def test_family_norm_searches_have_no_depth_limit():
     assert val == 1100 and minima == alternating.support
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, 60), min_size=1, max_size=30, unique=True),
-       st.sampled_from((ONE, TWO, parse_ordinal("3"), parse_ordinal("w+1"))))
-def test_append_block_counts_greedy_blocks(items, alpha):
-    items = tuple(sorted(items))
-    pred = alpha.predecessor()
-    blocks, last = 1, 0
-    for j in range(1, len(items)):
-        blocks, last = _append_block(items[:j], blocks, last, items[j], pred)
-        assert blocks == len(f_alpha_blocks(items[:j + 1], alpha))
+def test_budget_is_read_only_when_a_cell_is_spent(monkeypatch):
+    reads = []
+
+    def counting_budget():
+        reads.append(1)
+        return 10 ** 6
+
+    monkeypatch.setattr(family_norms, "node_budget", counting_budget)
+    member = SparseVector({3: 1, 4: -2, 5: 3, 6: -4})
+    for alpha in (TWO, parse_ordinal("w+1")):
+        assert schreier_alpha_norm(member, alpha) == 10
+        assert jamesification_norm(member, alpha) == 10
+    assert not reads
+    # a support that is no member spends cells, so it reads the budget
+    assert schreier_alpha_norm(SparseVector.indicator(range(3, 30), 1), TWO) == 26
+    assert reads
 
 
 def test_james_examples():
@@ -209,7 +215,7 @@ def test_james_level_one_matches_search_exact(x):
     support = list(x.support)
     coeffs = [x.get(i) for i in support]
     val, minima = jamesification_norm(x, want_witness=True)
-    found, chain = _james_dfs(support, coeffs, ONE, node_budget())
+    found, chain = _interval_best(support, coeffs, ONE, None, True)
     assert val == found
     _assert_attaining_chain(x, ONE, val, minima)
     _assert_attaining_chain(x, ONE, val, chain)
@@ -222,6 +228,43 @@ def test_james_witness_attains_value_at_every_level(x):
         val, minima = jamesification_norm(x, alpha, want_witness=True)
         assert val == jamesification_norm(x, alpha)
         _assert_attaining_chain(x, alpha, val, minima)
+
+
+JAMES_LEVELS = tuple(parse_ordinal(t) for t in ("2", "3", "w+1"))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_exact_vectors(10, 10), st.sampled_from(JAMES_LEVELS), st.booleans())
+def test_james_window_dp_matches_naive(x, alpha, with_one):
+    entries = dict(x.entries)
+    if with_one:
+        entries[1] = Fraction(-5, 2)
+    else:
+        entries.pop(1, None)
+    x = SparseVector(entries)
+    val, minima = jamesification_norm(x, alpha, want_witness=True)
+    assert val == jamesification_norm(x, alpha) == naive_james_norm(x, alpha)
+    if x.entries:
+        _assert_attaining_chain(x, alpha, val, minima)
+
+
+def test_james_level_two_large_support_under_default_budget(monkeypatch):
+    monkeypatch.delenv("GREEDYLAB_BUDGET", raising=False)
+    rng = random.Random(59)
+    x = SparseVector({i: rng.choice((-1, 1)) * rng.randint(1, 9)
+                      for i in range(1, 61)})
+    val, minima = jamesification_norm(x, TWO, want_witness=True)
+    assert val == jamesification_norm(x, TWO)
+    _assert_attaining_chain(x, TWO, val, minima)
+
+
+def test_james_budget_error():
+    x = SparseVector({i: (-1) ** i * i for i in range(2, 41)})
+    with pytest.raises(BudgetExceeded) as info:
+        jamesification_norm(x, TWO, max_nodes=5)
+    # the greedy-maximal relaxed member from 2 takes the four level-1 blocks
+    # {2, 3}, {4..7}, {8..15}, {16..31}
+    assert info.value.attained == sum(range(2, 32))
 
 
 def test_james_level_one_large_support_under_default_budget(monkeypatch):
