@@ -9,7 +9,7 @@ from .greedy import (ConstantEstimate, GreedyResult, SearchSpec,
                      greedy_set, grid_best_coefficients, property_A_check,
                      sigma_m, theorem_suite)
 from .norms import (NormOracle, block_sum_norm, kt_block_norm, kt_block_of,
-                    kt_global_index, mixed_parity_norm, suppression_project)
+                    kt_global_index, mixed_parity_norm)
 from .ordinals import (OMEGA, ONE, ZERO, Ordinal, OrdinalError, classify,
                        compare, fundamental_term, parse_ordinal)
 from .rah import (GeometricBlock, IndexStream, ShiftedInt, WeightFamily,

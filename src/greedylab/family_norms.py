@@ -404,6 +404,27 @@ def jamesification_norm(x: SparseVector, alpha: Ordinal = ONE, max_nodes=None,
     return _interval_best(support, coeffs, alpha, max_nodes, want_witness)
 
 
+def interval_functional(x: SparseVector, alpha: Ordinal = ONE):
+    """The interval-system norm of x and a norming functional f of x.
+
+    Each minimum of the witness chain opens an interval ending, before the
+    next minimum, where its sum has the largest modulus; f is that sum's
+    sign on every index of the interval, so |f(z)| <= norm(z) for every z.
+    """
+    value, minima = jamesification_norm(x, alpha, want_witness=True)
+    f = {}
+    for lo, stop in zip(minima, minima[1:] + (x.max_index() + 1,)):
+        run = peak = 0
+        end = lo
+        for i, v in x.entries.items():
+            if lo <= i < stop:
+                run += v
+                if abs(run) > abs(peak):
+                    peak, end = run, i
+        f.update(dict.fromkeys(range(lo, end + 1), (peak > 0) - (peak < 0)))
+    return value, SparseVector(f)
+
+
 def naive_james_norm(x: SparseVector, alpha: Ordinal = ONE):
     """Reference evaluator: all minima sets inside [1..max support], all ends."""
     if x.is_zero:

@@ -1,10 +1,10 @@
 """Thresholding greedy machinery over an arbitrary norm oracle and family.
 
 Greedy sets pick the largest coefficient moduli; the best m-term error over a
-family minimizes over admissible supports with free coefficients (inner convex
-minimization by cyclic coordinate descent with golden-section line searches),
-and the constant estimators report certified lower bounds with reproducible
-witnesses.
+family minimizes over admissible supports with free coefficients, exactly: the
+projection error where the suppression constant is 1, else Kelley's cutting
+planes on norming functionals.  The constant estimators report certified
+lower bounds with reproducible witnesses.
 """
 
 from __future__ import annotations
@@ -12,12 +12,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from fractions import Fraction
+from itertools import combinations, count, islice, product
+from operator import mul
 
 from .vectors import SparseVector
 
 TIE_TOL = 1e-12
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GAP_TOL = 1e-9
+KELLEY_MAX_CUTS = 200
 
 CONSTANT_NAMES = ("Cw", "Cl", "Ks", "Cd", "Csd", "Cb", "Cg", "Ca")
 
@@ -67,13 +70,7 @@ def greedy_set(x: SparseVector, m: int, tie_break: str = "smallest-index",
     n = len(ranked)
 
     if m > n:
-        pad = []
-        candidate = 1
-        supp = set(ranked)
-        while len(pad) < m - n:
-            if candidate not in supp:
-                pad.append(candidate)
-            candidate += 1
+        pad = islice((i for i in count(1) if i not in x.entries), m - n)
         chosen = tuple(ranked) + tuple(pad)
         result = _result_for(x, chosen, m, True)
         return [result] if tie_break == "enumerate-all" else result
@@ -131,85 +128,83 @@ def family_members_within(family, pool, size_cap: int):
 # ---------------------------------------------------------------------------
 
 
-def golden_section_min(f, lo: float, hi: float, tol: float = 1e-10):
-    """Golden-section minimum of a convex f on [lo, hi]; returns (x, f(x))."""
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    xs = [(a, f(a)), (b, f(b)), (c, fc), (d, fd)]
-    return min(xs, key=lambda t: t[1])
+def _cut_lp(cuts, width):
+    """Exact minimum of t over t >= 0, 0 <= d_n <= width and the cuts
+    t + sum_n g_n d_n >= b, given as pairs (g, b) of Fractions; returns (t, d).
+
+    Bland-rule simplex on the dual, max sum_j b_j l_j - width sum_n u_n over
+    l, u >= 0 with sum_j l_j <= 1 and sum_j g_jn l_j <= u_n, whose origin is
+    a feasible basis; (t, d) is minus the final reduced costs of the slacks.
+    """
+    J, k = len(cuts), len(cuts[0][0])
+    slack = J + k
+    rows = [[1 if r == 0 else g[r - 1] for g, _ in cuts]
+            + [-int(m == r - 1) for m in range(k)]
+            + [int(s == r) for s in range(k + 1)] + [int(r == 0)]
+            for r in range(k + 1)]
+    obj = [b for _, b in cuts] + [-width] * k + [0] * (k + 2)
+    basis = list(range(slack, slack + k + 1))
+    while True:
+        enter = next((j for j in range(slack + k + 1) if obj[j] > 0), None)
+        if enter is None:
+            return -obj[slack], [-v for v in obj[slack + 1:-1]]
+        # the primal is feasible, so the dual is bounded and a row qualifies
+        _, _, r = min((row[-1] / row[enter], basis[i], i)
+                      for i, row in enumerate(rows) if row[enter] > 0)
+        pivot = rows[r]
+        pivot[:] = [v / pivot[enter] for v in pivot]
+        for row in rows + [obj]:
+            if row is not pivot and row[enter]:
+                factor = row[enter]
+                row[:] = [v - factor * p if p else v for v, p in zip(row, pivot)]
+        basis[r] = enter
 
 
-def _objective(x: SparseVector, support, oracle):
-    base = dict(x.entries)
+def best_coefficients(x: SparseVector, support, oracle):
+    """Exact minimum over c of ||x - sum_{n in A} c_n e_n||.
 
-    def value(coeffs):
-        data = dict(base)
-        for n, a in zip(support, coeffs):
-            data[n] = data.get(n, 0) - a
-        return oracle.norm(SparseVector(data))
-
-    return value
-
-
-def best_coefficients(x: SparseVector, support, oracle, tol: float = 1e-8,
-                      max_sweeps: int = 200):
-    """Cyclic coordinate descent with golden-section line searches.
-
-    Bracket is [-3*sup|x|, 3*sup|x|] per coordinate; a sweep cycle stops when
-    it improves the objective by less than `tol`.  The descent restarts from a
-    fixed list of starting points (projection coefficients, zero, and the
-    bracket corners) because coordinate descent may stall on kinks of a
-    non-smooth norm.  Returns (value, coefficients dict, converged flag).
+    With a suppression constant of 1 it is ||P_{A^c} x||, at c = x_A.  Else
+    Kelley's cutting planes: the norming functional f of each residual gives
+    the cut t >= f(x) - sum_n c_n f(e_n); with the box |c_n - x_n| <=
+    ||P_{A^c} x|| (which holds every minimiser, as the norm dominates the sup
+    norm) the cuts make an LP whose exact optimum is a lower bound.  It stops
+    at a repeated cut (exact on a polyhedral norm) or a gap within GAP_TOL,
+    and is unconverged after KELLEY_MAX_CUTS cuts.  Returns (value,
+    coefficients dict, converged flag): the value is the norm at the
+    coefficients, floats for float payloads and exact otherwise.
     """
     support = tuple(sorted(support))
     if not support:
         return oracle.norm(x), {}, True
-    radius = 3.0 * float(x.inf_norm() or 1.0)
-    value_of = _objective(x, support, oracle)
-
-    starts = [[float(x.get(n)) for n in support], [0.0] * len(support)]
-    if len(support) <= 2:
-        half = 0.5 * radius
-        starts.extend(list(pt) for pt in product((-half, half), repeat=len(support)))
-
-    best_value = None
-    best_coeffs = None
-    any_converged = False
-    for start in starts:
-        coeffs = list(start)
-        current = value_of(coeffs)
+    if oracle.certified.get("Ks") == 1:
+        return oracle.norm(x.drop(support)), {n: x.get(n) for n in support}, True
+    real = float if x.has_float_payload() else Fraction
+    coeffs = [x.get(n) for n in support]
+    cuts = []
+    best = (math.inf, None)
+    converged = True
+    for _ in range(KELLEY_MAX_CUTS):
+        value, f = oracle.functional(x - SparseVector(dict(zip(support, coeffs))))
+        if not cuts:
+            # shift c = low + d so the box becomes 0 <= d <= width
+            width = 2 * Fraction(value)
+            low = [Fraction(c) - width / 2 for c in coeffs]
+        if value < best[0]:
+            best = (value, coeffs)
+        g = tuple(Fraction(f.get(n)) for n in support)
+        fx = sum(Fraction(f.get(i)) * Fraction(v) for i, v in x.items())
+        cut = (g, fx - sum(map(mul, g, low)))
+        if cut in cuts:
+            break
+        cuts.append(cut)
+        bound, d = _cut_lp(cuts, width)
+        if best[0] - bound <= GAP_TOL * max(1, best[0]):
+            break
+        coeffs = [real(lo + dn) for lo, dn in zip(low, d)]
+    else:
         converged = False
-        for _ in range(max_sweeps):
-            before = current
-            for pos in range(len(support)):
-                def line(t, pos=pos):
-                    probe = coeffs.copy()
-                    probe[pos] = t
-                    return value_of(probe)
-
-                best_t, best_v = golden_section_min(line, -radius, radius)
-                if best_v < current:
-                    coeffs[pos] = best_t
-                    current = best_v
-            if before - current < tol:
-                converged = True
-                break
-        if best_value is None or current < best_value:
-            best_value = current
-            best_coeffs = coeffs
-            any_converged = converged
-    return best_value, dict(zip(support, best_coeffs)), any_converged
+    value, coeffs = best
+    return value, dict(zip(support, coeffs)), converged
 
 
 def grid_best_coefficients(x: SparseVector, support, oracle, points: int = 41,
@@ -225,7 +220,6 @@ def grid_best_coefficients(x: SparseVector, support, oracle, points: int = 41,
     if not support:
         return oracle.norm(x), {}
     radius = 3.0 * float(x.inf_norm() or 1.0)
-    value_of = _objective(x, support, oracle)
     centers = [0.0] * len(support)
     span = radius
     best_val = None
@@ -237,7 +231,10 @@ def grid_best_coefficients(x: SparseVector, support, oracle, points: int = 41,
             step = (hi - lo) / (points - 1)
             axes.append([lo + k * step for k in range(points)])
         for pt in product(*axes):
-            v = value_of(list(pt))
+            data = dict(x.entries)
+            for n, a in zip(support, pt):
+                data[n] = data.get(n, 0) - a
+            v = oracle.norm(SparseVector(data))
             if best_val is None or v < best_val:
                 best_val = v
                 best_pt = pt
@@ -251,6 +248,14 @@ def grid_best_coefficients(x: SparseVector, support, oracle, points: int = 41,
 # ---------------------------------------------------------------------------
 
 
+def _enumeration_guard(x: SparseVector, m: int):
+    if m < 0:
+        raise GreedyError("m must be nonnegative")
+    if m > 10 or len(x) > 22:
+        raise GreedyError(
+            f"support-set enumeration guard: m={m}, support={len(x)}")
+
+
 @dataclass
 class ApproximationResult:
     value: float
@@ -259,37 +264,20 @@ class ApproximationResult:
     converged: bool
 
 
-def sigma_m(x: SparseVector, m: int, oracle, family, extra_offsupport: int = 2,
-            tol: float = 1e-8, max_sweeps: int = 200) -> ApproximationResult:
+def sigma_m(x: SparseVector, m: int, oracle, family,
+            extra_offsupport: int = 2) -> ApproximationResult:
     """Best m-term error over the family with free coefficients.
 
     Candidate supports are family members of size <= m inside the support of
     x plus up to `extra_offsupport` smallest unused indices (a recorded
     computational compromise).  The empty support is always admissible.
     """
-    if m < 0:
-        raise GreedyError("m must be nonnegative")
-    if m > 10 or len(x) > 22:
-        raise GreedyError(
-            f"support-set enumeration guard: m={m}, support={len(x)}")
-    pool = list(x.support)
-    candidate = 1
-    added = 0
-    supp = set(pool)
-    while added < extra_offsupport:
-        if candidate > oracle.dimension_cap:
-            break
-        if candidate not in supp:
-            pool.append(candidate)
-            added += 1
-        candidate += 1
+    _enumeration_guard(x, m)
+    unused = (i for i in range(1, oracle.dimension_cap + 1) if i not in x.entries)
+    pool = list(x.support) + list(islice(unused, extra_offsupport))
     best = ApproximationResult(oracle.norm(x), (), {}, True)
-    if m == 0:
-        return best
-    for A in family_members_within(family, pool, m):
-        if not A:
-            continue
-        value, coeffs, converged = best_coefficients(x, A, oracle, tol, max_sweeps)
+    for A in family_members_within(family, pool, m)[1:]:
+        value, coeffs, converged = best_coefficients(x, A, oracle)
         if value < best.value - 1e-15:
             best = ApproximationResult(value, A, coeffs, converged)
     return best
@@ -298,23 +286,24 @@ def sigma_m(x: SparseVector, m: int, oracle, family, extra_offsupport: int = 2,
 def almost_greedy_error(x: SparseVector, m: int, oracle, family):
     """Best m-term projection error over the family; exact minimum by
     enumeration (off-support indices never help a projection)."""
-    if m < 0:
-        raise GreedyError("m must be nonnegative")
-    if m > 10 or len(x) > 22:
-        raise GreedyError(
-            f"support-set enumeration guard: m={m}, support={len(x)}")
-    best_value = oracle.norm(x)
-    best_set = ()
-    if m == 0:
-        return best_value, best_set
-    for A in family_members_within(family, x.support, m):
-        if not A:
-            continue
+    _enumeration_guard(x, m)
+    best = (oracle.norm(x), ())
+    for A in family_members_within(family, x.support, m)[1:]:
         value = oracle.norm(x.drop(A))
-        if value < best_value - 1e-15:
-            best_value = value
-            best_set = A
-    return best_value, best_set
+        if value < best[0] - 1e-15:
+            best = (value, A)
+    return best
+
+
+def _greedy_ratio(name, x: SparseVector, m: int, oracle, family) -> float:
+    """Greedy residual norm over sigma_m (Cg) or the projection error (Ca);
+    0 when that error is below 1e-9."""
+    num = oracle.norm(greedy_set(x, m).residual)
+    if name == "Cg":
+        denom = sigma_m(x, m, oracle, family).value
+    else:
+        denom = almost_greedy_error(x, m, oracle, family)[0]
+    return num / denom if denom >= 1e-9 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +381,6 @@ def _random_family_member(rng, family, pool, size_cap: int) -> tuple:
     return member
 
 
-def _vector_witness(x: SparseVector) -> str:
-    return x.to_wire()
-
-
 def evaluate_witness(name: str, oracle, family, witness: dict) -> float:
     """Recompute the ratio a witness claims; reproducibility check."""
     kind = witness.get("kind")
@@ -420,14 +405,7 @@ def evaluate_witness(name: str, oracle, family, witness: dict) -> float:
         rhs = SparseVector.parse(witness["rhs"])
         return oracle.norm(lhs) / oracle.norm(rhs)
     if name in ("Cg", "Ca"):
-        m = witness["m"]
-        res = greedy_set(x, m)
-        num = oracle.norm(res.residual)
-        if name == "Cg":
-            denom = sigma_m(x, m, oracle, family).value
-        else:
-            denom, _ = almost_greedy_error(x, m, oracle, family)
-        return num / denom
+        return _greedy_ratio(name, x, witness["m"], oracle, family)
     raise GreedyError(f"unknown witness kind for {name}")
 
 
@@ -452,7 +430,7 @@ def _template_configs(name, oracle, family, spec):
                 if family.contains(A):
                     ratio = oracle.norm(x.drop(A)) / oracle.norm(x)
                     yield ratio, {"kind": "template:kt-alternating",
-                                  "vector": _vector_witness(x), "set": list(A)}
+                                  "vector": x.to_wire(), "set": list(A)}
     elif template == "parity-odd-even":
         k = spec.extras.get("k", 100)
         A = tuple(range(2, 2 * k + 1, 2))
@@ -501,7 +479,7 @@ def estimate_constant(name: str, oracle, family, spec: SearchSpec) -> ConstantEs
                 res = greedy_set(x, m)
                 part = res.approximant if name == "Cw" else res.residual
                 consider(oracle.norm(part) / nx,
-                         {"kind": "sampled", "vector": _vector_witness(x), "m": m})
+                         {"kind": "sampled", "vector": x.to_wire(), "m": m})
         elif name == "Ks":
             x = _random_vector(rng, spec, cap)
             nx = oracle.norm(x)
@@ -511,7 +489,7 @@ def estimate_constant(name: str, oracle, family, spec: SearchSpec) -> ConstantEs
             if not A:
                 continue
             consider(oracle.norm(x.drop(A)) / nx,
-                     {"kind": "sampled", "vector": _vector_witness(x), "set": list(A)})
+                     {"kind": "sampled", "vector": x.to_wire(), "set": list(A)})
         elif name in ("Cd", "Csd"):
             hi = min(spec.index_range, cap)
             pool = range(1, hi + 1)
@@ -544,16 +522,8 @@ def estimate_constant(name: str, oracle, family, spec: SearchSpec) -> ConstantEs
             if len(x) < 2:
                 continue
             for m in range(1, min(spec.m_cap, len(x)) + 1):
-                res = greedy_set(x, m)
-                num = oracle.norm(res.residual)
-                if name == "Cg":
-                    denom = sigma_m(x, m, oracle, family).value
-                else:
-                    denom, _ = almost_greedy_error(x, m, oracle, family)
-                if denom < 1e-9:
-                    continue
-                consider(num / denom,
-                         {"kind": "sampled", "vector": _vector_witness(x), "m": m})
+                consider(_greedy_ratio(name, x, m, oracle, family),
+                         {"kind": "sampled", "vector": x.to_wire(), "m": m})
     return ConstantEstimate(name, best, witness, spec.to_dict())
 
 
@@ -749,11 +719,7 @@ def theorem_suite(oracle, family, spec: TheoremSuiteSpec) -> dict:
         if len(x) < 2:
             continue
         for m in range(1, min(spec.m_cap, len(x)) + 1):
-            res = greedy_set(x, m)
-            denom = sigma_m(x, m, oracle, family).value
-            if denom < 1e-9:
-                continue
-            ratio = oracle.norm(res.residual) / denom
+            ratio = _greedy_ratio("Cg", x, m, oracle, family)
             if ratio > worst:
                 worst = ratio
                 worst_wit = {"vector": x.to_wire(), "m": m}

@@ -19,8 +19,12 @@ class NormDomainError(ValueError):
     pass
 
 
-def kt_block_norm(x: SparseVector, N: int) -> float:
-    """Norm of the size-N window space; support must lie in [1..2N-1]."""
+def kt_block_norm(x: SparseVector, N: int, want_witness=False):
+    """Norm of the size-N window space; support must lie in [1..2N-1].
+
+    `want_witness` adds a norming functional: x over its Euclidean norm when
+    that part is active, else the signed weights of the peak partial sum.
+    """
     if N < 1:
         raise NormDomainError(f"bad window parameter {N}")
     hi = 2 * N - 1
@@ -40,7 +44,14 @@ def kt_block_norm(x: SparseVector, N: int) -> float:
             mag = abs(running)
             if mag > best:
                 best = mag
-    return l2 if l2 >= best else best
+                peak, top = running, i
+    value = l2 if l2 >= best else best
+    if not want_witness:
+        return value
+    if l2 >= best:
+        return value, x.scale(1 / l2) if l2 else SparseVector()
+    return value, SparseVector({i: math.copysign(1 / math.sqrt(i - N + 1), peak)
+                                for i in range(N, top + 1)})
 
 
 def kt_global_index(N: int, local: int) -> int:
@@ -58,21 +69,35 @@ def kt_block_of(g: int):
     return N, g - (N - 1) * (N - 1)
 
 
-def block_sum_norm(x: SparseVector, outer: str) -> float:
-    """c0 or l2 aggregate of per-block window norms over the global indices."""
+def block_sum_norm(x: SparseVector, outer: str, want_witness=False):
+    """c0 or l2 aggregate of per-block window norms over the global indices.
+
+    `want_witness` adds a norming functional: the active block's for c0, for
+    l2 each block's weighted by its norm over the total.
+    """
     if outer not in ("c0", "l2"):
         raise NormDomainError(f"outer aggregate must be c0 or l2, got {outer!r}")
     per_block = {}
     for g, a in x.entries.items():
         N, local = kt_block_of(g)
         per_block.setdefault(N, {})[local] = a
-    norms = [kt_block_norm(SparseVector(entries), N)
-             for N, entries in sorted(per_block.items())]
-    if not norms:
-        return 0.0
+    blocks = sorted(per_block.items())
+    parts = [kt_block_norm(SparseVector(entries), N, want_witness)
+             for N, entries in blocks]
+    norms = [v for v, _ in parts] if want_witness else parts
     if outer == "c0":
-        return max(norms)
-    return math.sqrt(math.fsum(v * v for v in norms))
+        value = max(norms, default=0.0)
+    else:
+        value = math.sqrt(math.fsum(v * v for v in norms))
+    if not want_witness:
+        return value
+    top = norms.index(value) if outer == "c0" and norms else None
+    f = {}
+    for k, ((N, _), (v, part)) in enumerate(zip(blocks, parts)):
+        w = float(k == top) if outer == "c0" else (v / value if value else 0.0)
+        for local, c in part.entries.items():
+            f[kt_global_index(N, local)] = w * c
+    return value, SparseVector(f)
 
 
 def mixed_parity_norm(x: SparseVector) -> float:
@@ -82,24 +107,19 @@ def mixed_parity_norm(x: SparseVector) -> float:
     return even + math.sqrt(odd)
 
 
-def suppression_project(x: SparseVector, A) -> SparseVector:
-    """Coordinate projection onto the index set A."""
-    return x.restrict(A)
-
-
 @dataclass
 class NormOracle:
     """A named norm with evaluation, certified basis bounds and metadata.
 
-    exactness: closed-form | search-exact | family-truncated.  `certified`
-    optionally carries proven upper constants, e.g. a suppression constant.
+    `certified` optionally carries proven upper constants, e.g. a suppression
+    constant; `functional` maps x to (norm, f), f(x) = norm, |f(z)| <= ||z||.
     """
 
     name: str
     evaluate: object
     basis_bounds: tuple = (1.0, 1.0)
     dimension_cap: int = 1_000_000
-    exactness: str = "closed-form"
+    functional: object = None
     witness_fn: object = None
     certified: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)

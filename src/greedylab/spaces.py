@@ -6,8 +6,8 @@ Descriptors: `kt:N=8`, `ktsum:c0`, `ktsum:l2`, `parity`, `schreier:a=1`,
 
 from __future__ import annotations
 
-from .family_norms import (jamesification_norm, schreier_alpha_norm,
-                           weighted_schreier_norm)
+from .family_norms import (interval_functional, jamesification_norm,
+                           schreier_alpha_norm, weighted_schreier_norm)
 from .norms import (NormDomainError, NormOracle, block_sum_norm, kt_block_norm,
                     mixed_parity_norm)
 from .ordinals import parse_ordinal
@@ -41,7 +41,7 @@ def make_space(descriptor: str) -> NormOracle:
             name=descriptor,
             evaluate=lambda x, N=N: kt_block_norm(x, N),
             dimension_cap=2 * N - 1,
-            exactness="closed-form",
+            functional=lambda x, N=N: kt_block_norm(x, N, want_witness=True),
             certified={"Cw": 3.0 + 2.0 ** 0.5},
             meta={"window": N},
         )
@@ -53,7 +53,7 @@ def make_space(descriptor: str) -> NormOracle:
             name=descriptor,
             evaluate=lambda x, outer=outer: block_sum_norm(x, outer),
             dimension_cap=4096,
-            exactness="closed-form",
+            functional=lambda x, outer=outer: block_sum_norm(x, outer, want_witness=True),
             meta={"outer": outer},
         )
     if head == "parity":
@@ -61,7 +61,7 @@ def make_space(descriptor: str) -> NormOracle:
             name="parity",
             evaluate=mixed_parity_norm,
             dimension_cap=1_000_000,
-            exactness="closed-form",
+            certified={"Ks": 1.0},
         )
     if head == "schreier":
         alpha = parse_ordinal(opts.get("a", "1"))
@@ -69,8 +69,8 @@ def make_space(descriptor: str) -> NormOracle:
             name=descriptor,
             evaluate=lambda x, a=alpha: schreier_alpha_norm(x, a),
             dimension_cap=1_000_000,
-            exactness="search-exact",
             witness_fn=lambda x, a=alpha: schreier_alpha_norm(x, a, want_witness=True),
+            certified={"Ks": 1.0},
         )
     if head == "james":
         alpha = parse_ordinal(opts.get("a", "1"))
@@ -80,7 +80,7 @@ def make_space(descriptor: str) -> NormOracle:
             name=descriptor,
             evaluate=lambda x, a=alpha: jamesification_norm(x, a),
             dimension_cap=512,
-            exactness="search-exact",
+            functional=lambda x, a=alpha: interval_functional(x, a),
             witness_fn=lambda x, a=alpha: jamesification_norm(x, a, want_witness=True),
             certified={"Cl": 1.0},
         )
@@ -93,7 +93,7 @@ def make_space(descriptor: str) -> NormOracle:
             name=descriptor,
             evaluate=lambda x, fam=family: weighted_schreier_norm(x, fam),
             dimension_cap=1 << 62,
-            exactness="family-truncated",
+            certified={"Ks": 1.0},
             meta={"family": family},
         )
     raise NormDomainError(f"unknown space descriptor {descriptor!r}")

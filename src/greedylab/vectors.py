@@ -54,10 +54,6 @@ class SparseVector:
         self.entries = dict(sorted(data.items()))
 
     @classmethod
-    def from_pairs(cls, pairs):
-        return cls(list(pairs))
-
-    @classmethod
     def basis(cls, n: int, coeff=1.0) -> "SparseVector":
         return cls({n: coeff})
 
@@ -129,9 +125,6 @@ class SparseVector:
         for v in self.entries.values():
             total += abs(v)
         return total
-
-    def abs_entries(self) -> dict:
-        return {i: abs(v) for i, v in self.entries.items()}
 
     def has_float_payload(self) -> bool:
         return any(isinstance(v, float) for v in self.entries.values())

@@ -335,7 +335,7 @@ def test_c12_sigma_optimizer_vs_grid():
             if abs(cd - gr) > max(1e-3 * max(cd, gr),
                                   1e-6 * max(1.0, float(x.inf_norm()))):
                 failures += 1
-    _report(12, "coordinate descent matches the refined grid oracle",
+    _report(12, "exact sigma_m minimiser matches the refined grid oracle",
             cases >= 500 and failures == 0, f"{cases} cases, {failures} failures")
 
 

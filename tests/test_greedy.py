@@ -1,10 +1,13 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedylab.greedy import (GreedyError, PropertyConfig, SearchSpec,
-                              TheoremSuiteSpec, almost_greedy_error,
+                              TheoremSuiteSpec, _cut_lp, almost_greedy_error,
                               best_coefficients, estimate_constant,
                               evaluate_witness, greedy_set,
                               grid_best_coefficients, property_A_check,
@@ -116,6 +119,66 @@ def test_grid_agreement_spot():
         cd, _, _ = best_coefficients(x, A, parity)
         gr, _ = grid_best_coefficients(x, A, parity)
         assert abs(cd - gr) <= max(1e-3 * max(cd, gr), 1e-6)
+
+
+@pytest.mark.parametrize("descriptor",
+                         ("schreier:a=1", "schreier:a=2", "parity", "walpha:a=1"))
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_suppression_one_spaces(descriptor, data):
+    # the facts behind sigma_m's projection branch, on exact payloads:
+    # dropping coordinates never raises the norm, so x's own coefficients
+    # are the best free ones
+    oracle = make_space(descriptor)
+    assert oracle.certified["Ks"] == 1
+    coeffs = st.integers(-9, 9).filter(bool)
+    x = SparseVector(data.draw(st.dictionaries(st.integers(1, 24), coeffs,
+                                               min_size=1, max_size=6)))
+    A = data.draw(st.sets(st.sampled_from(x.support)))
+    assert oracle.norm(x.drop(A)) <= oracle.norm(x)
+    for m in (1, 2, 3):
+        assert (sigma_m(x, m, oracle, S1).value
+                == almost_greedy_error(x, m, oracle, S1)[0])
+
+
+@pytest.mark.parametrize("descriptor, entries, A", [
+    ("james:a=1", {1: 3, 5: 2, 9: -1, 11: 2, 15: -2}, (9,)),
+    ("kt:N=8", {8: 1, 9: 1, 10: -1, 13: 1}, (10,)),
+])
+def test_suppression_above_one_spaces(descriptor, entries, A):
+    # found by a seeded search over <= 6 points on indices 1..15: dropping A
+    # raises the norm, so these spaces must not take the projection branch
+    oracle = make_space(descriptor)
+    x = SparseVector(entries)
+    assert oracle.norm(x.drop(A)) > oracle.norm(x)
+    assert "Ks" not in oracle.certified
+
+
+def test_best_coefficients_past_coordinate_descent_stall():
+    # cyclic coordinate descent stalled on a kink here at 2.408002 and still
+    # reported convergence; the refined grid reaches 2.3924001
+    james = make_space("james:a=1")
+    entries = {1: 0.1683, 3: 0.6317, 7: -0.2581, 8: -0.8909, 10: 0.1990,
+               11: -0.5556}
+    x = SparseVector(entries)
+    value, coeffs, converged = best_coefficients(x, (2, 10), james)
+    assert value <= 2.3924 + 1e-9 and converged
+    assert value == james.norm(x - SparseVector(coeffs))
+    # exact payloads give the exact minimum
+    exact = SparseVector({i: Fraction(str(v)) for i, v in entries.items()})
+    value, coeffs, converged = best_coefficients(exact, (2, 10), james)
+    assert value == Fraction("2.3924") and converged
+    assert value == james.norm(exact - SparseVector(coeffs))
+
+
+def test_cut_lp_degenerate_exact():
+    F = Fraction
+    one = ((F(1),), F(1))
+    # a repeated cut and a zero right-hand side: min over d of max(1 - d, d)
+    assert _cut_lp([one, one, ((F(-1),), F(0))], F(2)) == (F(1, 2), [F(1, 2)])
+    cuts = [((F(1), F(0)), F(1)), ((F(0), F(1)), F(1)), ((F(0), F(1)), F(1)),
+            ((F(0), F(0)), F(0)), ((F(-1), F(-1)), F(-1))]
+    assert _cut_lp(cuts, F(2)) == (F(1, 3), [F(2, 3), F(2, 3)])
 
 
 def test_estimator_determinism_and_witnesses():

@@ -2,10 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedylab.norms import (NormDomainError, block_sum_norm, kt_block_norm,
-                             kt_block_of, kt_global_index, mixed_parity_norm,
-                             suppression_project)
+                             kt_block_of, kt_global_index, mixed_parity_norm)
 from greedylab.spaces import make_space
 from greedylab.vectors import SparseVector
 
@@ -56,9 +57,9 @@ def test_parity_examples():
 
 def test_suppression_project():
     x = SparseVector({2: 1.0, 5: 1.0})
-    assert suppression_project(x, ()) == SparseVector()
-    assert suppression_project(x, x.support) == x
-    assert suppression_project(x, (2,)) == SparseVector({2: 1.0})
+    assert x.restrict(()) == SparseVector()
+    assert x.restrict(x.support) == x
+    assert x.restrict((2,)) == SparseVector({2: 1.0})
 
 
 SPACES = ("kt:N=8", "ktsum:c0", "ktsum:l2", "parity", "schreier:a=1",
@@ -140,3 +141,30 @@ def test_parity_suppression_unconditional_sampled():
                           for i in rng.sample(range(1, 30), size)})
         A = rng.sample(list(x.support), rng.randint(0, len(x)))
         assert mixed_parity_norm(x.drop(A)) <= mixed_parity_norm(x) + 1e-12
+
+
+def _dot(f, z):
+    return sum(f.get(i) * v for i, v in z.items())
+
+
+@pytest.mark.parametrize("descriptor, top", [
+    ("james:a=1", 16), ("james:a=2", 16), ("kt:N=8", 15), ("ktsum:c0", 40),
+    ("ktsum:l2", 40)])
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_norming_functionals(descriptor, top, data):
+    # the cutting planes of sigma_m are valid only if f_y attains the norm
+    # at y and nowhere exceeds it
+    oracle = make_space(descriptor)
+    coeffs = st.integers(-10 ** 6, 10 ** 6).map(lambda k: k / 10 ** 6)
+    vectors = st.dictionaries(st.integers(1, top), coeffs,
+                              max_size=8).map(SparseVector)
+    y, z = data.draw(vectors), data.draw(vectors)
+    value, f = oracle.functional(y)
+    assert value == oracle.norm(y)
+    assert abs(_dot(f, y) - value) <= 1e-12 * value
+    # probes: z, and y moved along each coordinate, gaps of its support too
+    steps = [SparseVector({n: t * value}) for n in range(1, top + 1)
+             for t in (-0.01, 0.01)]
+    for w in [z] + [y + step for step in steps]:
+        assert abs(_dot(f, w)) <= oracle.norm(w) * (1 + 1e-12)
