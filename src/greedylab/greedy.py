@@ -3,8 +3,11 @@
 Greedy sets pick the largest coefficient moduli; the best m-term error over a
 family minimizes over admissible supports with free coefficients, exactly: the
 projection error where the suppression constant is 1, else Kelley's cutting
-planes on norming functionals.  The constant estimators report certified
-lower bounds with reproducible witnesses.
+planes on norming functionals.  Candidate supports lie in the support of x,
+plus the EXTRA_OFFSUPPORT smallest unused indices where the suppression
+constant is not 1 (an off-support index cannot lower a projection error).
+Each constant's defining ratio is written once, in `_ratio`: the estimators
+maximize it into certified lower bounds, and their witnesses replay through it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, count, islice, product
+from itertools import chain, combinations, count, islice, product
 from operator import mul
 
 from .vectors import SparseVector
@@ -21,6 +24,7 @@ from .vectors import SparseVector
 TIE_TOL = 1e-12
 GAP_TOL = 1e-9
 KELLEY_MAX_CUTS = 200
+EXTRA_OFFSUPPORT = 2
 
 CONSTANT_NAMES = ("Cw", "Cl", "Ks", "Cd", "Csd", "Cb", "Cg", "Ca")
 
@@ -55,7 +59,7 @@ def _result_for(x: SparseVector, chosen: tuple, m: int, tie_flag: bool) -> Greed
 
 
 def greedy_set(x: SparseVector, m: int, tie_break: str = "smallest-index",
-               tie_tol: float = TIE_TOL, dimension_cap=None):
+               dimension_cap=None):
     """Greedy set(s) of order m.
 
     Canonical mode breaks modulus ties by smallest index; enumerate-all mode
@@ -80,8 +84,8 @@ def greedy_set(x: SparseVector, m: int, tie_break: str = "smallest-index",
         return [result] if tie_break == "enumerate-all" else result
 
     threshold = abs(x.entries[ranked[m - 1]])
-    above = [i for i in ranked if abs(x.entries[i]) > threshold + tie_tol]
-    tied = [i for i in ranked if abs(abs(x.entries[i]) - threshold) <= tie_tol]
+    above = [i for i in ranked if abs(x.entries[i]) > threshold + TIE_TOL]
+    tied = [i for i in ranked if abs(abs(x.entries[i]) - threshold) <= TIE_TOL]
     tie_flag = len(above) + len(tied) > m
 
     if tie_break == "smallest-index":
@@ -264,17 +268,21 @@ class ApproximationResult:
     converged: bool
 
 
-def sigma_m(x: SparseVector, m: int, oracle, family,
-            extra_offsupport: int = 2) -> ApproximationResult:
+def sigma_m(x: SparseVector, m: int, oracle, family) -> ApproximationResult:
     """Best m-term error over the family with free coefficients.
 
     Candidate supports are family members of size <= m inside the support of
-    x plus up to `extra_offsupport` smallest unused indices (a recorded
-    computational compromise).  The empty support is always admissible.
+    x.  Unless the space declares a suppression constant of 1 the pool also
+    holds the EXTRA_OFFSUPPORT smallest unused indices (a recorded
+    computational compromise); with that constant a support's error is
+    ||x.drop(A)||, which an off-support index cannot lower.  The empty
+    support is always admissible.
     """
     _enumeration_guard(x, m)
-    unused = (i for i in range(1, oracle.dimension_cap + 1) if i not in x.entries)
-    pool = list(x.support) + list(islice(unused, extra_offsupport))
+    pool = list(x.support)
+    if oracle.certified.get("Ks") != 1:
+        unused = (i for i in range(1, oracle.dimension_cap + 1) if i not in x.entries)
+        pool += islice(unused, EXTRA_OFFSUPPORT)
     best = ApproximationResult(oracle.norm(x), (), {}, True)
     for A in family_members_within(family, pool, m)[1:]:
         value, coeffs, converged = best_coefficients(x, A, oracle)
@@ -293,17 +301,6 @@ def almost_greedy_error(x: SparseVector, m: int, oracle, family):
         if value < best[0] - 1e-15:
             best = (value, A)
     return best
-
-
-def _greedy_ratio(name, x: SparseVector, m: int, oracle, family) -> float:
-    """Greedy residual norm over sigma_m (Cg) or the projection error (Ca);
-    0 when that error is below 1e-9."""
-    num = oracle.norm(greedy_set(x, m).residual)
-    if name == "Cg":
-        denom = sigma_m(x, m, oracle, family).value
-    else:
-        denom = almost_greedy_error(x, m, oracle, family)[0]
-    return num / denom if denom >= 1e-9 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -381,36 +378,50 @@ def _random_family_member(rng, family, pool, size_cap: int) -> tuple:
     return member
 
 
-def evaluate_witness(name: str, oracle, family, witness: dict) -> float:
-    """Recompute the ratio a witness claims; reproducibility check."""
-    kind = witness.get("kind")
-    if kind == "trivial":
-        return 1.0
-    x = SparseVector.parse(witness["vector"]) if "vector" in witness else None
-    if name in ("Cw", "Cl"):
-        res = greedy_set(x, witness["m"])
-        num = oracle.norm(res.approximant if name == "Cw" else res.residual)
-        return num / oracle.norm(x)
-    if name == "Ks":
-        A = tuple(witness["set"])
-        return oracle.norm(x.drop(A)) / oracle.norm(x)
+def _ratio(name: str, oracle, family, cfg: dict) -> float:
+    """The defining ratio of constant `name` on one configuration, whose
+    vector fields are SparseVectors; 0 when its denominator is below 1e-9."""
     if name in ("Cd", "Csd"):
-        A = tuple(witness["A"])
-        B = tuple(witness["B"])
-        xa = SparseVector.parse(witness["vector_A"])
-        xb = SparseVector.parse(witness["vector_B"])
-        return oracle.norm(xa) / oracle.norm(xb)
-    if name == "Cb":
-        lhs = SparseVector.parse(witness["lhs"])
-        rhs = SparseVector.parse(witness["rhs"])
-        return oracle.norm(lhs) / oracle.norm(rhs)
-    if name in ("Cg", "Ca"):
-        return _greedy_ratio(name, x, witness["m"], oracle, family)
-    raise GreedyError(f"unknown witness kind for {name}")
+        num, den = oracle.norm(cfg["vector_A"]), oracle.norm(cfg["vector_B"])
+    elif name == "Cb":
+        num, den = oracle.norm(cfg["lhs"]), oracle.norm(cfg["rhs"])
+    elif name in ("Cw", "Cl", "Ks"):
+        x = cfg["vector"]
+        if name == "Ks":
+            part = x.drop(cfg["set"])
+        else:
+            res = greedy_set(x, cfg["m"])
+            part = res.approximant if name == "Cw" else res.residual
+        num, den = oracle.norm(part), oracle.norm(x)
+    elif name in ("Cg", "Ca"):
+        x, m = cfg["vector"], cfg["m"]
+        num = oracle.norm(greedy_set(x, m).residual)
+        if name == "Cg":
+            den = sigma_m(x, m, oracle, family).value
+        else:
+            den = almost_greedy_error(x, m, oracle, family)[0]
+    else:
+        raise GreedyError(f"unknown constant {name!r}")
+    return num / den if den >= 1e-9 else 0.0
+
+
+def _wire(cfg: dict) -> dict:
+    return {k: v.to_wire() if isinstance(v, SparseVector) else v
+            for k, v in cfg.items()}
+
+
+def evaluate_witness(name: str, oracle, family, witness: dict) -> float:
+    """Recompute the ratio a witness claims; reproducibility check.  Vector
+    fields travel as wire strings, the only strings besides the kind."""
+    if witness.get("kind") == "trivial":
+        return 1.0
+    cfg = {k: SparseVector.parse(v) if isinstance(v, str) else v
+           for k, v in witness.items() if k != "kind"}
+    return _ratio(name, oracle, family, cfg)
 
 
 def _template_configs(name, oracle, family, spec):
-    """Named adversarial generators; deterministic."""
+    """Named adversarial configurations; deterministic."""
     template = spec.template
     if template is None:
         return
@@ -428,69 +439,25 @@ def _template_configs(name, oracle, family, spec):
             for A in (tuple(i for i, v in x.entries.items() if v > 0),
                       tuple(i for i, v in x.entries.items() if v < 0)):
                 if family.contains(A):
-                    ratio = oracle.norm(x.drop(A)) / oracle.norm(x)
-                    yield ratio, {"kind": "template:kt-alternating",
-                                  "vector": x.to_wire(), "set": list(A)}
+                    yield {"vector": x, "set": list(A)}
     elif template == "parity-odd-even":
         k = spec.extras.get("k", 100)
         A = tuple(range(2, 2 * k + 1, 2))
         B = tuple(range(1, 2 * k, 2))
         if name in ("Cd", "Csd") and family.contains(A):
-            xa = SparseVector.indicator(A, 1.0)
-            xb = SparseVector.indicator(B, 1.0)
-            ratio = oracle.norm(xa) / oracle.norm(xb)
-            yield ratio, {"kind": "template:parity-odd-even",
-                          "A": list(A), "B": list(B),
-                          "vector_A": xa.to_wire(), "vector_B": xb.to_wire()}
+            yield {"A": list(A), "B": list(B),
+                   "vector_A": SparseVector.indicator(A, 1.0),
+                   "vector_B": SparseVector.indicator(B, 1.0)}
     else:
         raise GreedyError(f"unknown template {template!r}")
 
 
-def estimate_constant(name: str, oracle, family, spec: SearchSpec) -> ConstantEstimate:
-    """Certified lower bound for a named greedy-type constant.
-
-    The bound is the supremum of the defining ratio over explored
-    configurations, never an upper bound; re-running with the same spec is
-    bit-identical.  Degenerate searches report 1 with a trivial witness.
-    """
-    if name not in CONSTANT_NAMES:
-        raise GreedyError(f"unknown constant {name!r}; pick from {CONSTANT_NAMES}")
-    rng = random.Random(spec.seed)
-    best = 1.0
-    witness = {"kind": "trivial"}
-
-    def consider(ratio, wit):
-        nonlocal best, witness
-        if ratio > best:
-            best = ratio
-            witness = wit
-
-    for ratio, wit in _template_configs(name, oracle, family, spec) or ():
-        consider(ratio, wit)
-
+def _sampled_configs(name, rng, oracle, family, spec: SearchSpec):
+    """Random configurations for constant `name` from spec.samples rounds of
+    draws from rng; a round whose draw is degenerate yields nothing."""
     cap = oracle.dimension_cap
     for _ in range(spec.samples):
-        if name in ("Cw", "Cl"):
-            x = _random_vector(rng, spec, cap)
-            nx = oracle.norm(x)
-            if nx < 1e-12:
-                continue
-            for m in range(1, len(x) + 1):
-                res = greedy_set(x, m)
-                part = res.approximant if name == "Cw" else res.residual
-                consider(oracle.norm(part) / nx,
-                         {"kind": "sampled", "vector": x.to_wire(), "m": m})
-        elif name == "Ks":
-            x = _random_vector(rng, spec, cap)
-            nx = oracle.norm(x)
-            if nx < 1e-12:
-                continue
-            A = _random_family_member(rng, family, x.support, spec.set_size_cap)
-            if not A:
-                continue
-            consider(oracle.norm(x.drop(A)) / nx,
-                     {"kind": "sampled", "vector": x.to_wire(), "set": list(A)})
-        elif name in ("Cd", "Csd"):
+        if name in ("Cd", "Csd"):
             hi = min(spec.index_range, cap)
             pool = range(1, hi + 1)
             A = _random_family_member(rng, family, pool, spec.set_size_cap)
@@ -507,23 +474,46 @@ def estimate_constant(name: str, oracle, family, spec: SearchSpec) -> ConstantEs
             else:
                 xa = SparseVector.signed_indicator(A, [float(rng.choice((-1, 1))) for _ in A])
                 xb = SparseVector.signed_indicator(B, [float(rng.choice((-1, 1))) for _ in B])
-            consider(oracle.norm(xa) / oracle.norm(xb),
-                     {"kind": "sampled", "A": list(A), "B": list(B),
-                      "vector_A": xa.to_wire(), "vector_B": xb.to_wire()})
+            yield {"A": list(A), "B": list(B), "vector_A": xa, "vector_B": xb}
         elif name == "Cb":
             cfg = _random_property_config(rng, oracle, family, spec)
-            if cfg is None:
-                continue
-            lhs, rhs = _property_sides(cfg)
-            consider(oracle.norm(lhs) / oracle.norm(rhs),
-                     {"kind": "sampled", "lhs": lhs.to_wire(), "rhs": rhs.to_wire()})
-        elif name in ("Cg", "Ca"):
+            if cfg is not None:
+                lhs, rhs = _property_sides(cfg)
+                yield {"lhs": lhs, "rhs": rhs}
+        else:
             x = _random_vector(rng, spec, cap)
-            if len(x) < 2:
-                continue
-            for m in range(1, min(spec.m_cap, len(x)) + 1):
-                consider(_greedy_ratio(name, x, m, oracle, family),
-                         {"kind": "sampled", "vector": x.to_wire(), "m": m})
+            if name == "Ks":
+                A = _random_family_member(rng, family, x.support, spec.set_size_cap)
+                if A:
+                    yield {"vector": x, "set": list(A)}
+            elif name in ("Cw", "Cl"):
+                for m in range(1, len(x) + 1):
+                    yield {"vector": x, "m": m}
+            elif len(x) >= 2:
+                for m in range(1, min(spec.m_cap, len(x)) + 1):
+                    yield {"vector": x, "m": m}
+
+
+def estimate_constant(name: str, oracle, family, spec: SearchSpec) -> ConstantEstimate:
+    """Certified lower bound for a named greedy-type constant.
+
+    The bound is the supremum of the defining ratio over explored
+    configurations, never an upper bound; re-running with the same spec is
+    bit-identical.  Degenerate searches report 1 with a trivial witness.
+    """
+    if name not in CONSTANT_NAMES:
+        raise GreedyError(f"unknown constant {name!r}; pick from {CONSTANT_NAMES}")
+    best = 1.0
+    witness = {"kind": "trivial"}
+    templated = ((f"template:{spec.template}", cfg)
+                 for cfg in _template_configs(name, oracle, family, spec))
+    sampled = (("sampled", cfg) for cfg in _sampled_configs(
+        name, random.Random(spec.seed), oracle, family, spec))
+    for kind, cfg in chain(templated, sampled):
+        ratio = _ratio(name, oracle, family, cfg)
+        if ratio > best:
+            best = ratio
+            witness = {"kind": kind, **_wire(cfg)}
     return ConstantEstimate(name, best, witness, spec.to_dict())
 
 
@@ -588,11 +578,10 @@ def property_A_check(oracle, family, cfg: PropertyConfig, certified_bound=None):
     if any(abs(v) < 1.0 - 1e-12 for v in cfg.b.values()):
         raise GreedyError("config coefficients on B must have modulus >= 1")
     lhs, rhs = _property_sides(cfg)
-    denom = oracle.norm(rhs)
-    ratio = oracle.norm(lhs) / denom
+    ratio = _ratio("Cb", oracle, family, {"lhs": lhs, "rhs": rhs})
     # projection form on the same configuration: A is disjoint from the
     # support, so projecting it away leaves x alone
-    p_ratio = oracle.norm(cfg.x) / denom if cfg.x.entries else 0.0
+    p_ratio = oracle.norm(cfg.x) / oracle.norm(rhs) if cfg.x.entries else 0.0
     out = {"ratio": ratio, "projection_ratio": p_ratio}
     if certified_bound is not None:
         out["within_bound"] = ratio <= certified_bound + 1e-9
@@ -712,17 +701,12 @@ def theorem_suite(oracle, family, spec: TheoremSuiteSpec) -> dict:
     cb = spec.certified.get("Cb")
     worst = 0.0
     worst_wit = None
-    for _ in range(spec.samples):
-        x = _random_vector(rng, SearchSpec(support_cap=6,
-                                           index_range=min(64, oracle.dimension_cap)),
-                           oracle.dimension_cap)
-        if len(x) < 2:
-            continue
-        for m in range(1, min(spec.m_cap, len(x)) + 1):
-            ratio = _greedy_ratio("Cg", x, m, oracle, family)
-            if ratio > worst:
-                worst = ratio
-                worst_wit = {"vector": x.to_wire(), "m": m}
+    sampling = SearchSpec(samples=spec.samples, m_cap=spec.m_cap)
+    for cfg in _sampled_configs("Cg", rng, oracle, family, sampling):
+        ratio = _ratio("Cg", oracle, family, cfg)
+        if ratio > worst:
+            worst = ratio
+            worst_wit = _wire(cfg)
     if ks is not None and cb is not None:
         ok = worst <= ks * cb + 1e-9
         checks.append({"name": "greedy-ratio-vs-certified-product",

@@ -15,6 +15,12 @@ from dataclasses import dataclass, field
 from .vectors import SparseVector
 
 
+# A sum of squares at least this large and finite lost no bits to squares
+# that under- or overflowed; outside that range the Euclidean norms fall back
+# to math.hypot's scaled sum, so a nonzero vector never gets norm 0 or inf.
+_SQUARES_MIN = 2.0 ** -969
+
+
 class NormDomainError(ValueError):
     pass
 
@@ -34,7 +40,9 @@ def kt_block_norm(x: SparseVector, N: int, want_witness=False):
             raise NormDomainError(f"index {i} outside the window space [1..{hi}]")
         fa = float(a)
         squares.append(fa * fa)
-    l2 = math.sqrt(math.fsum(squares))
+    total = math.fsum(squares)
+    l2 = (math.sqrt(total) if _SQUARES_MIN <= total < math.inf
+          else math.hypot(*map(float, x.entries.values())))
     best = 0.0
     running = 0.0
     for i in range(N, hi + 1):
@@ -88,7 +96,9 @@ def block_sum_norm(x: SparseVector, outer: str, want_witness=False):
     if outer == "c0":
         value = max(norms, default=0.0)
     else:
-        value = math.sqrt(math.fsum(v * v for v in norms))
+        total = math.fsum(v * v for v in norms)
+        value = (math.sqrt(total) if _SQUARES_MIN <= total < math.inf
+                 else math.hypot(*norms))
     if not want_witness:
         return value
     top = norms.index(value) if outer == "c0" and norms else None
@@ -104,7 +114,9 @@ def mixed_parity_norm(x: SparseVector) -> float:
     """l1 over even indices plus l2 over odd indices."""
     even = math.fsum(abs(float(v)) for i, v in x.entries.items() if i % 2 == 0)
     odd = math.fsum(float(v) * float(v) for i, v in x.entries.items() if i % 2 == 1)
-    return even + math.sqrt(odd)
+    if _SQUARES_MIN <= odd < math.inf:
+        return even + math.sqrt(odd)
+    return even + math.hypot(*(float(v) for i, v in x.entries.items() if i % 2 == 1))
 
 
 @dataclass

@@ -22,6 +22,8 @@ from .vectors import SparseVector
 
 # largest bit count we are willing to materialize for a block endpoint
 MATERIALIZE_SHIFT_CAP = 1 << 30
+# cut escalations `rah_schreier_bound_search` tries before giving up
+BOUND_SEARCH_TRIES = 8
 
 
 class RangeNotMaterializable(FamilyError):
@@ -159,7 +161,7 @@ class TailNormCertificate:
 
 def rah_schreier_bound_search(alpha: Ordinal, beta: Ordinal, N: int,
                               stream: IndexStream | None = None,
-                              max_support=None, max_tries: int = 8):
+                              max_support=None):
     """Search for a certified small-norm tail: min L > N and exact
     level-alpha norm of the level-beta average below 3/min L.
 
@@ -171,7 +173,7 @@ def rah_schreier_bound_search(alpha: Ordinal, beta: Ordinal, N: int,
     if stream is None:
         stream = IndexStream.naturals()
     cut = N
-    for _ in range(max_tries):
+    for _ in range(BOUND_SEARCH_TRIES):
         tail = stream.advance_past(cut)
         vec = rah_sequence(beta, tail, 1, max_support)[0]
         value = schreier_alpha_norm(vec, alpha)
@@ -181,7 +183,7 @@ def rah_schreier_bound_search(alpha: Ordinal, beta: Ordinal, N: int,
         cut = tail.min
     raise FamilyError(
         f"no certified tail found for levels ({alpha}, {beta}) within "
-        f"{max_tries} cut escalations past {N}"
+        f"{BOUND_SEARCH_TRIES} cut escalations past {N}"
     )
 
 

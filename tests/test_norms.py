@@ -31,6 +31,16 @@ def test_kt_window_domain():
         kt_block_norm(SparseVector({8: 1.0}), 4)
 
 
+def test_euclidean_parts_survive_under_and_overflow():
+    # each entry's square is 0.0 or inf, and a lone entry's norm is its modulus
+    cases = [(lambda x: kt_block_norm(x, 2), 1, 1e-200),
+             (lambda x: block_sum_norm(x, "l2"), 3, 1e-170),
+             (mixed_parity_norm, 1, 1e-200)]
+    for norm, index, tiny in cases:
+        for value in (tiny, 1e200):
+            assert norm(SparseVector({index: value})) == value
+
+
 def test_global_block_layout():
     assert [kt_global_index(N, 1) for N in (1, 2, 3, 4)] == [1, 2, 5, 10]
     for g in range(1, 200):
