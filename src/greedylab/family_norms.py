@@ -9,13 +9,39 @@ family of weight blocks.  All three are exact when fed int/Fraction payloads.
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
 from itertools import accumulate, combinations, product
+from math import lcm
 from operator import sub
 
 from .config import BudgetExceeded, james_ops_budget, node_budget
 from .ordinals import ONE, Ordinal, fundamental_term
 from .schreier import FamilyError, _max_prefix, f_alpha_member, schreier_member
 from .vectors import SparseVector
+
+
+# ---------------------------------------------------------------------------
+# exact payloads as scaled ints
+# ---------------------------------------------------------------------------
+
+
+def _as_ints(entries):
+    """(entries times D, D) for an int/Fraction payload holding a Fraction,
+    D the lcm of its denominators; (entries, None) for any other payload."""
+    if type(next(iter(entries.values()), None)) is float:
+        return entries, None  # one float keeps the payload: the usual case, cheaply
+    kinds = set(map(type, entries.values()))
+    if Fraction not in kinds or not kinds <= {int, Fraction}:
+        return entries, None
+    D = lcm(*{v.denominator for v in entries.values()})
+    return {i: v.numerator * (D // v.denominator) for i, v in entries.items()}, D
+
+
+def _divided(out, D, want_witness=False):
+    """A result on the payload scaled by D, back in the payload's units."""
+    if D is None:
+        return out
+    return (Fraction(out[0], D), out[1]) if want_witness else Fraction(out, D)
 
 
 # ---------------------------------------------------------------------------
@@ -85,17 +111,19 @@ class _WindowDP:
 
     Every table entry and every candidate of a max is one cell; the DP
     raises BudgetExceeded, carrying the sum of the greedy-maximal member
-    from the first position, rather than pass `max_cells`, which defaults to
-    `node_budget()` once the first cell is spent.
+    from the first position (over D, for values scaled by D), rather than
+    pass `max_cells`, which defaults to `node_budget()` once the first cell
+    is spent.
     """
 
-    def __init__(self, values, alpha, max_cells, signed=None):
+    def __init__(self, values, alpha, max_cells, D, signed=None):
         self.idxs = tuple(i for i, _ in values)
         self.vals = [v for _, v in values]
         self.ps = list(accumulate(self.vals, initial=0))
         self.sp = None if signed is None else list(accumulate(signed, initial=0))
         self.alpha = alpha
         self.max_cells = max_cells
+        self.D = D
         self.cells = 0
         self._reach = {}
         self._rows = {}
@@ -123,7 +151,7 @@ class _WindowDP:
         if self.max_cells is None:
             self.max_cells = node_budget()
         if self.cells + cells > self.max_cells:
-            held = self.ps[self.reach(self.alpha, 0)]
+            held = _divided(self.ps[self.reach(self.alpha, 0)], self.D)
             raise BudgetExceeded(
                 f"window DP would exceed {self.max_cells} cells "
                 f"(greedy member attains {held})",
@@ -246,18 +274,19 @@ class _Row:
         self.cols = [None] * r + [(0,)]
 
 
-def _family_best(values, alpha, max_cells, want_witness):
+def _family_best(values, alpha, max_cells, want_witness, D):
     """Exact optimum at a level >= 2 by the window DP, with its witness.
 
     The only member containing 1 is {1}, so index 1 is compared with the
-    optimum over the rest of the support.
+    optimum over the rest of the support.  D is the scale of the values,
+    None when unscaled.
     """
     head = None
     if values[0][0] == 1:
         head, values = values[0][1], values[1:]
     best, wit = 0, ()
     if values:
-        dp = _WindowDP(values, alpha, max_cells)
+        dp = _WindowDP(values, alpha, max_cells, D)
         best = dp.best(alpha, 0, len(values))
         if want_witness:
             wit = dp.witness(alpha, 0, len(values))
@@ -272,15 +301,18 @@ def schreier_alpha_norm(x: SparseVector, alpha: Ordinal, max_nodes=None,
 
     Exhausted search budgets raise instead of silently approximating.
     """
-    values = sorted((i, abs(v)) for i, v in x.entries.items())
+    entries, D = _as_ints(x.entries)
+    values = [(i, abs(v)) for i, v in entries.items()]
     if not values:
         return (0, ()) if want_witness else 0
     if alpha == ONE:
-        return _s1_best(values, want_witness)
-    if alpha.is_zero:
+        out = _s1_best(values, want_witness)
+    elif alpha.is_zero:
         i, best = max(values, key=lambda t: t[1])
-        return (best, (i,)) if want_witness else best
-    return _family_best(values, alpha, max_nodes, want_witness)
+        out = (best, (i,)) if want_witness else best
+    else:
+        out = _family_best(values, alpha, max_nodes, want_witness, D)
+    return _divided(out, D, want_witness)
 
 
 def naive_schreier_norm(x: SparseVector, alpha: Ordinal):
@@ -380,13 +412,13 @@ def _james_dp_level1(support, coeffs, want_witness=False):
     return best, tuple(minima)
 
 
-def _interval_best(support, coeffs, alpha, max_cells, want_witness):
+def _interval_best(support, coeffs, alpha, max_cells, want_witness, D=None):
     """Exact interval-system optimum by the window DP, with the minima chain
-    that attains it."""
+    that attains it; D is the scale of coeffs, None when unscaled."""
     n = len(support)
     if n == 0:
         return (0, ()) if want_witness else 0
-    dp = _WindowDP(list(zip(support, map(abs, coeffs))), alpha, max_cells,
+    dp = _WindowDP(list(zip(support, map(abs, coeffs))), alpha, max_cells, D,
                    signed=coeffs)
     best = dp.best(alpha, 0, n)
     return (best, dp.witness(alpha, 0, n)) if want_witness else best
@@ -397,11 +429,13 @@ def jamesification_norm(x: SparseVector, alpha: Ordinal = ONE, max_nodes=None,
     """Interval-system norm at a successor level; exact for exact payloads."""
     if not alpha.is_successor:
         raise FamilyError(f"interval-system norm needs a successor level, got {alpha}")
-    support = list(x.support)
-    coeffs = [x.get(i) for i in support]
+    entries, D = _as_ints(x.entries)
+    support, coeffs = list(entries), list(entries.values())
     if alpha == ONE:
-        return _james_dp_level1(support, coeffs, want_witness=want_witness)
-    return _interval_best(support, coeffs, alpha, max_nodes, want_witness)
+        out = _james_dp_level1(support, coeffs, want_witness=want_witness)
+    else:
+        out = _interval_best(support, coeffs, alpha, max_nodes, want_witness, D)
+    return _divided(out, D, want_witness)
 
 
 def interval_functional(x: SparseVector, alpha: Ordinal = ONE):

@@ -378,9 +378,10 @@ def _random_family_member(rng, family, pool, size_cap: int) -> tuple:
     return member
 
 
-def _ratio(name: str, oracle, family, cfg: dict) -> float:
+def _ratio(name: str, oracle, family, cfg: dict, norm=None) -> float:
     """The defining ratio of constant `name` on one configuration, whose
-    vector fields are SparseVectors; 0 when its denominator is below 1e-9."""
+    vector fields are SparseVectors; 0 when its denominator is below 1e-9.
+    `norm` evaluates ||x|| for Cw, Cl and Ks, oracle.norm unless given."""
     if name in ("Cd", "Csd"):
         num, den = oracle.norm(cfg["vector_A"]), oracle.norm(cfg["vector_B"])
     elif name == "Cb":
@@ -392,7 +393,7 @@ def _ratio(name: str, oracle, family, cfg: dict) -> float:
         else:
             res = greedy_set(x, cfg["m"])
             part = res.approximant if name == "Cw" else res.residual
-        num, den = oracle.norm(part), oracle.norm(x)
+        num, den = oracle.norm(part), (norm or oracle.norm)(x)
     elif name in ("Cg", "Ca"):
         x, m = cfg["vector"], cfg["m"]
         num = oracle.norm(greedy_set(x, m).residual)
@@ -403,6 +404,18 @@ def _ratio(name: str, oracle, family, cfg: dict) -> float:
     else:
         raise GreedyError(f"unknown constant {name!r}")
     return num / den if den >= 1e-9 else 0.0
+
+
+def _last_norm(oracle):
+    """oracle.norm remembering its last vector, by identity: the Cw and Cl
+    configurations of one sample share their vector over every order m."""
+    last = [None, None]
+
+    def norm(x):
+        if x is not last[0]:
+            last[:] = [x, oracle.norm(x)]
+        return last[1]
+    return norm
 
 
 def _wire(cfg: dict) -> dict:
@@ -509,8 +522,9 @@ def estimate_constant(name: str, oracle, family, spec: SearchSpec) -> ConstantEs
                  for cfg in _template_configs(name, oracle, family, spec))
     sampled = (("sampled", cfg) for cfg in _sampled_configs(
         name, random.Random(spec.seed), oracle, family, spec))
+    norm = _last_norm(oracle)
     for kind, cfg in chain(templated, sampled):
-        ratio = _ratio(name, oracle, family, cfg)
+        ratio = _ratio(name, oracle, family, cfg, norm)
         if ratio > best:
             best = ratio
             witness = {"kind": kind, **_wire(cfg)}

@@ -16,13 +16,53 @@ from .vectors import SparseVector
 
 
 # A sum of squares at least this large and finite lost no bits to squares
-# that under- or overflowed; outside that range the Euclidean norms fall back
-# to math.hypot's scaled sum, so a nonzero vector never gets norm 0 or inf.
+# that under- or overflowed; outside that range, or when the exact sum
+# overflows on the way, the Euclidean norms fall back to math.hypot's scaled
+# sum, so a nonzero vector never gets norm 0 or inf or raises.
 _SQUARES_MIN = 2.0 ** -969
 
 
 class NormDomainError(ValueError):
     pass
+
+
+def _euclidean(floats):
+    """sqrt of the exactly summed squares, else math.hypot (see above)."""
+    try:
+        total = math.fsum([f * f for f in floats])
+    except OverflowError:
+        total = math.inf
+    if _SQUARES_MIN <= total < math.inf:
+        return math.sqrt(total)
+    return math.hypot(*floats)
+
+
+def _window_norm(pairs, N, want_witness):
+    """Window norm of (index, value) pairs sorted by index, in one pass that
+    takes the squares and the running partial sums from index N on."""
+    hi = 2 * N - 1
+    floats = []
+    best = running = 0.0
+    for i, a in pairs:
+        if i > hi:
+            raise NormDomainError(f"index {i} outside the window space [1..{hi}]")
+        fa = float(a)
+        floats.append(fa)
+        if i >= N:
+            running += fa / math.sqrt(i - N + 1)
+            mag = abs(running)
+            if mag > best:
+                best = mag
+                peak, top = running, i
+    l2 = _euclidean(floats)
+    value = l2 if l2 >= best else best
+    if not want_witness:
+        return value
+    if l2 >= best:
+        c = 1 / l2 if l2 else 0  # l2 is 0 only where every float(a) is
+        return value, SparseVector({i: c * a for i, a in pairs})
+    return value, SparseVector({i: math.copysign(1 / math.sqrt(i - N + 1), peak)
+                                for i in range(N, top + 1)})
 
 
 def kt_block_norm(x: SparseVector, N: int, want_witness=False):
@@ -33,33 +73,7 @@ def kt_block_norm(x: SparseVector, N: int, want_witness=False):
     """
     if N < 1:
         raise NormDomainError(f"bad window parameter {N}")
-    hi = 2 * N - 1
-    squares = []
-    for i, a in x.entries.items():
-        if i > hi:
-            raise NormDomainError(f"index {i} outside the window space [1..{hi}]")
-        fa = float(a)
-        squares.append(fa * fa)
-    total = math.fsum(squares)
-    l2 = (math.sqrt(total) if _SQUARES_MIN <= total < math.inf
-          else math.hypot(*map(float, x.entries.values())))
-    best = 0.0
-    running = 0.0
-    for i in range(N, hi + 1):
-        a = x.entries.get(i)
-        if a:
-            running += float(a) / math.sqrt(i - N + 1)
-            mag = abs(running)
-            if mag > best:
-                best = mag
-                peak, top = running, i
-    value = l2 if l2 >= best else best
-    if not want_witness:
-        return value
-    if l2 >= best:
-        return value, x.scale(1 / l2) if l2 else SparseVector()
-    return value, SparseVector({i: math.copysign(1 / math.sqrt(i - N + 1), peak)
-                                for i in range(N, top + 1)})
+    return _window_norm(x.entries.items(), N, want_witness)
 
 
 def kt_global_index(N: int, local: int) -> int:
@@ -85,20 +99,21 @@ def block_sum_norm(x: SparseVector, outer: str, want_witness=False):
     """
     if outer not in ("c0", "l2"):
         raise NormDomainError(f"outer aggregate must be c0 or l2, got {outer!r}")
-    per_block = {}
+    blocks = []
+    end = 0
     for g, a in x.entries.items():
-        N, local = kt_block_of(g)
-        per_block.setdefault(N, {})[local] = a
-    blocks = sorted(per_block.items())
-    parts = [kt_block_norm(SparseVector(entries), N, want_witness)
-             for N, entries in blocks]
+        if g > end:
+            N, _ = kt_block_of(g)
+            base, end = (N - 1) * (N - 1), N * N
+            pairs = []
+            blocks.append((N, pairs))
+        pairs.append((g - base, a))
+    parts = [_window_norm(pairs, N, want_witness) for N, pairs in blocks]
     norms = [v for v, _ in parts] if want_witness else parts
     if outer == "c0":
         value = max(norms, default=0.0)
     else:
-        total = math.fsum(v * v for v in norms)
-        value = (math.sqrt(total) if _SQUARES_MIN <= total < math.inf
-                 else math.hypot(*norms))
+        value = _euclidean(norms)
     if not want_witness:
         return value
     top = norms.index(value) if outer == "c0" and norms else None
@@ -112,11 +127,15 @@ def block_sum_norm(x: SparseVector, outer: str, want_witness=False):
 
 def mixed_parity_norm(x: SparseVector) -> float:
     """l1 over even indices plus l2 over odd indices."""
-    even = math.fsum(abs(float(v)) for i, v in x.entries.items() if i % 2 == 0)
-    odd = math.fsum(float(v) * float(v) for i, v in x.entries.items() if i % 2 == 1)
-    if _SQUARES_MIN <= odd < math.inf:
-        return even + math.sqrt(odd)
-    return even + math.hypot(*(float(v) for i, v in x.entries.items() if i % 2 == 1))
+    even, odd = parts = ([], [])
+    for i, v in x.entries.items():
+        parts[i % 2].append(float(v))
+    try:
+        l1 = math.fsum(map(abs, even))
+    except OverflowError:
+        # the terms are >= 0: a partial sum past the float range puts the sum there
+        l1 = math.inf
+    return l1 + _euclidean(odd)
 
 
 @dataclass

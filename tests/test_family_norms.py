@@ -15,6 +15,8 @@ from greedylab.schreier import f_alpha_member, schreier_member
 from greedylab.vectors import SparseVector
 
 TWO = parse_ordinal("2")
+SUP_LEVELS = tuple(parse_ordinal(t) for t in ("0", "1", "2", "3", "w", "w+1", "w*2"))
+JAMES_LEVELS = tuple(parse_ordinal(t) for t in ("2", "3", "w+1"))
 
 
 def _exact_vectors(max_index, max_size):
@@ -116,7 +118,69 @@ def test_family_norm_budget_error():
     assert info.value.attained == 21
 
 
-SUP_LEVELS = tuple(parse_ordinal(t) for t in ("0", "1", "2", "3", "w", "w+1", "w*2"))
+def test_exact_budget_errors_carry_unscaled_attained():
+    # Fraction payloads run as ints scaled by the lcm of the denominators;
+    # a refusal reports the greedy member's sum back in the payload's units
+    x = SparseVector({i: Fraction(1, i) for i in range(3, 30)})
+    with pytest.raises(BudgetExceeded) as info:
+        schreier_alpha_norm(x, TWO, max_nodes=5)
+    held = sum(Fraction(1, i) for i in range(3, 24))
+    assert info.value.attained == held and type(info.value.attained) is Fraction
+    assert f"attains {held})" in str(info.value)
+    x = SparseVector({i: Fraction((-1) ** i, i) for i in range(2, 41)})
+    with pytest.raises(BudgetExceeded) as info:
+        jamesification_norm(x, TWO, max_nodes=5)
+    held = sum(Fraction(1, i) for i in range(2, 32))
+    assert info.value.attained == held and type(info.value.attained) is Fraction
+    assert f"attains {held})" in str(info.value)
+
+
+def test_exact_payloads_keep_their_type():
+    levels = (ZERO, ONE, TWO, parse_ordinal("w+1"))
+    payloads = [({3: 2, 4: -5, 7: 1, 9: 4}, int),
+                ({3: Fraction(2), 4: Fraction(-5), 7: Fraction(1)}, Fraction),
+                ({3: 2, 4: Fraction(-5, 3), 7: 1, 9: 4}, Fraction)]
+    for entries, kind in payloads:
+        x = SparseVector(entries)
+        for alpha in levels:
+            value, _ = schreier_alpha_norm(x, alpha, want_witness=True)
+            assert type(schreier_alpha_norm(x, alpha)) is type(value) is kind
+            if alpha.is_successor:
+                value, _ = jamesification_norm(x, alpha, want_witness=True)
+                assert type(jamesification_norm(x, alpha)) is type(value) is kind
+
+
+# pairwise coprime denominators near 10**9 make the common denominator of a
+# 10-point payload about 10**90
+_PRIMES = (999999937, 999999929, 999999893, 999999883, 999999797, 999999761,
+           999999757, 999999751, 999999739, 999999733)
+
+
+def _coprime_vectors(max_index):
+    def build(pairs):
+        return SparseVector({i: Fraction(num, p)
+                             for (i, num), p in zip(pairs, _PRIMES)})
+    entry = st.tuples(st.integers(1, max_index), st.integers(-10 ** 12, 10 ** 12))
+    return st.lists(entry, min_size=1, max_size=len(_PRIMES),
+                    unique_by=lambda t: t[0]).map(build)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_coprime_vectors(16), st.sampled_from(SUP_LEVELS[:5]))
+def test_family_norm_matches_naive_coprime_denominators(x, alpha):
+    val, wit = schreier_alpha_norm(x, alpha, want_witness=True)
+    assert val == naive_schreier_norm(x, alpha)
+    assert sum(abs(x.get(i)) for i in wit) == val
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_coprime_vectors(10), st.sampled_from((ONE,) + JAMES_LEVELS))
+def test_james_matches_naive_coprime_denominators(x, alpha):
+    val, minima = jamesification_norm(x, alpha, want_witness=True)
+    assert val == naive_james_norm(x, alpha)
+    _assert_attaining_chain(x, alpha, val, minima)
+
+
 
 
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
@@ -229,8 +293,6 @@ def test_james_witness_attains_value_at_every_level(x):
         assert val == jamesification_norm(x, alpha)
         _assert_attaining_chain(x, alpha, val, minima)
 
-
-JAMES_LEVELS = tuple(parse_ordinal(t) for t in ("2", "3", "w+1"))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

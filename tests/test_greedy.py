@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedylab.greedy import (CONSTANT_NAMES, GreedyError, PropertyConfig,
-                              SearchSpec, TheoremSuiteSpec, _cut_lp,
-                              almost_greedy_error, best_coefficients,
-                              estimate_constant, evaluate_witness, greedy_set,
+                              SearchSpec, TheoremSuiteSpec, _cut_lp, _ratio,
+                              _sampled_configs, almost_greedy_error,
+                              best_coefficients, estimate_constant,
+                              evaluate_witness, greedy_set,
                               grid_best_coefficients, property_A_check,
                               sigma_m, theorem_suite)
 from greedylab.schreier import FamilyHandle
@@ -227,6 +228,30 @@ def test_kt_alternating_template():
                                        template="kt-alternating"))
     assert est.lower_bound > 1.0
     assert evaluate_witness("Ks", kt, S1, est.witness) == est.lower_bound
+
+
+def test_cw_cl_evaluate_each_sample_norm_once(monkeypatch):
+    oracle = make_space("james:a=1")
+    spec = SearchSpec(samples=300)
+    calls = []
+    norm = type(oracle).norm
+
+    def counting_norm(self, x):
+        calls.append(x)
+        return norm(self, x)
+
+    for name in ("Cw", "Cl"):
+        configs = list(_sampled_configs(name, random.Random(spec.seed), oracle,
+                                        S1, spec))
+        samples = len({id(cfg["vector"]) for cfg in configs})
+        expected = max([1.0] + [_ratio(name, oracle, S1, cfg) for cfg in configs])
+        calls.clear()
+        monkeypatch.setattr(type(oracle), "norm", counting_norm)
+        est = estimate_constant(name, oracle, S1, spec)
+        monkeypatch.undo()
+        # one ||x|| per sampled vector plus one numerator per order m
+        assert len(calls) == samples + len(configs)
+        assert est.lower_bound == expected
 
 
 # SHA-256 of the sorted-key JSON below, recorded before the constants' ratios

@@ -39,6 +39,91 @@ def test_euclidean_parts_survive_under_and_overflow():
     for norm, index, tiny in cases:
         for value in (tiny, 1e200):
             assert norm(SparseVector({index: value})) == value
+    # finite squares whose exact sum overflows on the way
+    pair = math.hypot(1e154, 1e154)
+    assert kt_block_norm(SparseVector({1: 1e154, 2: 1e154}), 2) == pair
+    assert block_sum_norm(SparseVector({1: 1e154, 2: 1e154}), "l2") == pair
+    assert mixed_parity_norm(SparseVector({1: 1e154, 3: 1e154})) == pair
+    assert mixed_parity_norm(SparseVector({2: 1e308, 4: 1e308})) == math.inf
+
+
+def dense_kt_block_norm(x, N, want_witness=False):
+    """The window norm by a scan over every index of the window, as the
+    library computed it before it scanned only the support."""
+    hi = 2 * N - 1
+    squares = []
+    for i, a in x.entries.items():
+        if i > hi:
+            raise NormDomainError(f"index {i} outside the window space [1..{hi}]")
+        squares.append(float(a) * float(a))
+    total = math.fsum(squares)
+    l2 = (math.sqrt(total) if 2.0 ** -969 <= total < math.inf
+          else math.hypot(*map(float, x.entries.values())))
+    best = 0.0
+    running = 0.0
+    for i in range(N, hi + 1):
+        a = x.entries.get(i)
+        if a:
+            running += float(a) / math.sqrt(i - N + 1)
+            mag = abs(running)
+            if mag > best:
+                best = mag
+                peak, top = running, i
+    value = l2 if l2 >= best else best
+    if not want_witness:
+        return value
+    if l2 >= best:
+        return value, x.scale(1 / l2) if l2 else SparseVector()
+    return value, SparseVector({i: math.copysign(1 / math.sqrt(i - N + 1), peak)
+                                for i in range(N, top + 1)})
+
+
+def dense_block_sum_norm(x, outer, want_witness=False):
+    """block_sum_norm with one SparseVector per block, each through the
+    dense window scan."""
+    per_block = {}
+    for g, a in x.entries.items():
+        N, local = kt_block_of(g)
+        per_block.setdefault(N, {})[local] = a
+    blocks = sorted(per_block.items())
+    parts = [dense_kt_block_norm(SparseVector(entries), N, True)
+             for N, entries in blocks]
+    norms = [v for v, _ in parts]
+    if outer == "c0":
+        value = max(norms, default=0.0)
+    else:
+        total = math.fsum(v * v for v in norms)
+        value = (math.sqrt(total) if 2.0 ** -969 <= total < math.inf
+                 else math.hypot(*norms))
+    if not want_witness:
+        return value
+    top = norms.index(value) if outer == "c0" and norms else None
+    f = {}
+    for k, ((N, _), (v, part)) in enumerate(zip(blocks, parts)):
+        w = float(k == top) if outer == "c0" else (v / value if value else 0.0)
+        for local, c in part.entries.items():
+            f[kt_global_index(N, local)] = w * c
+    return value, SparseVector(f)
+
+
+_FLOATS = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(N=st.integers(1, 40), data=st.data())
+def test_window_norm_matches_dense_scan(N, data):
+    x = data.draw(st.dictionaries(st.integers(1, 2 * N - 1), _FLOATS,
+                                  max_size=2 * N - 1).map(SparseVector))
+    assert kt_block_norm(x, N) == dense_kt_block_norm(x, N)
+    assert kt_block_norm(x, N, True) == dense_kt_block_norm(x, N, True)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(1, 2000), _FLOATS, max_size=40).map(SparseVector),
+       st.sampled_from(("c0", "l2")))
+def test_block_sum_norm_matches_dense_scan(x, outer):
+    assert block_sum_norm(x, outer) == dense_block_sum_norm(x, outer)
+    assert block_sum_norm(x, outer, True) == dense_block_sum_norm(x, outer, True)
 
 
 def test_global_block_layout():
