@@ -5,11 +5,16 @@ larger of the Euclidean norm and the sup of weighted left partial sums over
 the window [N, 2N-1] with weights 1/sqrt(offset).  The global sum spaces
 concatenate these blocks along the integers, block N occupying
 ((N-1)^2, N^2].
+
+Both are evaluated by one pass over the sorted support (`_window_scan`),
+which closes each block as the next one opens and returns the norm and, on
+request, a norming functional; a window space is the one-block case.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .vectors import SparseVector
@@ -29,7 +34,7 @@ class NormDomainError(ValueError):
 def _euclidean(floats):
     """sqrt of the exactly summed squares, else math.hypot (see above)."""
     try:
-        total = math.fsum([f * f for f in floats])
+        total = math.fsum(map(operator.mul, floats, floats))
     except OverflowError:
         total = math.inf
     if _SQUARES_MIN <= total < math.inf:
@@ -37,32 +42,84 @@ def _euclidean(floats):
     return math.hypot(*floats)
 
 
-def _window_norm(pairs, N, want_witness):
-    """Window norm of (index, value) pairs sorted by index, in one pass that
-    takes the squares and the running partial sums from index N on."""
-    hi = 2 * N - 1
+def _window_scan(entries, N, outer, want_witness):
+    """The c0 or l2 aggregate of window-block norms of sorted (index, value)
+    entries, from one pass over the support.
+
+    With N >= 1 the entries form the one window block N based at 0 and must
+    lie in [1..2N-1]; with N = 0, block M holds the global indices
+    ((M-1)^2, M^2].  Per point the pass keeps the float and the running
+    weighted partial sum from the block's window start w0 + 1; a block is
+    closed when the next one opens or the entries end.  A one-point block's
+    norm is the modulus of its float: sqrt(fl(a*a)) == |a| in binary64,
+    math.hypot gives |a| too, and |fl(a / sqrt(k))| <= |a|.
+    """
     floats = []
-    best = running = 0.0
-    for i, a in pairs:
-        if i > hi:
-            raise NormDomainError(f"index {i} outside the window space [1..{hi}]")
+    append = floats.append
+    norms = []
+    closed = []  # witness records: (w0, lo, hi, l2, best, peak, top) per block
+    w0 = N - 1
+    end = 2 * N - 1 if N else 0
+    lo = top = 0
+    best = running = peak = 0.0
+    for g, a in entries.items():
+        if g > end:
+            if N:
+                raise NormDomainError(f"index {g} outside the window space [1..{end}]")
+            if end:
+                hi = len(floats)
+                l2 = (abs(floats[lo]) if hi - lo == 1
+                      else _euclidean(floats[lo:] if lo else floats))
+                norms.append(l2 if l2 >= best else best)
+                if want_witness:
+                    closed.append((w0, lo, hi, l2, best, peak, top))
+            M = math.isqrt(g - 1) + 1
+            end = M * M
+            w0 = end - M
+            lo = len(floats)
+            best = running = 0.0
         fa = float(a)
-        floats.append(fa)
-        if i >= N:
-            running += fa / math.sqrt(i - N + 1)
+        append(fa)
+        if g > w0:
+            running += fa / math.sqrt(g - w0)
             mag = abs(running)
             if mag > best:
                 best = mag
-                peak, top = running, i
-    l2 = _euclidean(floats)
-    value = l2 if l2 >= best else best
+                peak, top = running, g
+    # the last block closes here: the same steps as above, written out again
+    # so that a lone window block returns without the aggregate (and, as
+    # there, without copying the floats when the block holds all of them)
+    if end:
+        hi = len(floats)
+        l2 = (abs(floats[lo]) if hi - lo == 1
+              else _euclidean(floats[lo:] if lo else floats))
+        if N and not want_witness:
+            return l2 if l2 >= best else best
+        norms.append(l2 if l2 >= best else best)
+        if want_witness:
+            closed.append((w0, lo, hi, l2, best, peak, top))
+    if outer == "c0":
+        value = max(norms) if norms else 0.0
+    else:
+        value = _euclidean(norms)
     if not want_witness:
         return value
-    if l2 >= best:
-        c = 1 / l2 if l2 else 0  # l2 is 0 only where every float(a) is
-        return value, SparseVector({i: c * a for i, a in pairs})
-    return value, SparseVector({i: math.copysign(1 / math.sqrt(i - N + 1), peak)
-                                for i in range(N, top + 1)})
+    chosen = norms.index(value) if outer == "c0" and norms else None
+    keys = list(entries)
+    f = {}
+    for k, (w0, lo, hi, l2, best, peak, top) in enumerate(closed):
+        v = norms[k]
+        w = float(k == chosen) if outer == "c0" else (v / value if value else 0.0)
+        if l2 >= best:
+            c = 1 / l2 if l2 else 0  # l2 is 0 only where every float(a) is
+            for j in range(lo, hi):
+                e = c * floats[j]
+                if e:  # a zero drops out before w scales it, as w may be nan
+                    f[keys[j]] = w * e
+        else:
+            for g in range(w0 + 1, top + 1):
+                f[g] = w * math.copysign(1 / math.sqrt(g - w0), peak)
+    return value, SparseVector(f)
 
 
 def kt_block_norm(x: SparseVector, N: int, want_witness=False):
@@ -73,7 +130,7 @@ def kt_block_norm(x: SparseVector, N: int, want_witness=False):
     """
     if N < 1:
         raise NormDomainError(f"bad window parameter {N}")
-    return _window_norm(x.entries.items(), N, want_witness)
+    return _window_scan(x.entries, N, "c0", want_witness)
 
 
 def kt_global_index(N: int, local: int) -> int:
@@ -99,30 +156,7 @@ def block_sum_norm(x: SparseVector, outer: str, want_witness=False):
     """
     if outer not in ("c0", "l2"):
         raise NormDomainError(f"outer aggregate must be c0 or l2, got {outer!r}")
-    blocks = []
-    end = 0
-    for g, a in x.entries.items():
-        if g > end:
-            N, _ = kt_block_of(g)
-            base, end = (N - 1) * (N - 1), N * N
-            pairs = []
-            blocks.append((N, pairs))
-        pairs.append((g - base, a))
-    parts = [_window_norm(pairs, N, want_witness) for N, pairs in blocks]
-    norms = [v for v, _ in parts] if want_witness else parts
-    if outer == "c0":
-        value = max(norms, default=0.0)
-    else:
-        value = _euclidean(norms)
-    if not want_witness:
-        return value
-    top = norms.index(value) if outer == "c0" and norms else None
-    f = {}
-    for k, ((N, _), (v, part)) in enumerate(zip(blocks, parts)):
-        w = float(k == top) if outer == "c0" else (v / value if value else 0.0)
-        for local, c in part.entries.items():
-            f[kt_global_index(N, local)] = w * c
-    return value, SparseVector(f)
+    return _window_scan(x.entries, 0, outer, want_witness)
 
 
 def mixed_parity_norm(x: SparseVector) -> float:
@@ -156,9 +190,10 @@ class NormOracle:
     meta: dict = field(default_factory=dict)
 
     def _check_cap(self, x: SparseVector):
-        if x.entries and x.max_index() > self.dimension_cap:
+        top = x.max_index()
+        if top > self.dimension_cap:
             raise NormDomainError(
-                f"support index {x.max_index()} exceeds the cap "
+                f"support index {top} exceeds the cap "
                 f"{self.dimension_cap} of space {self.name}"
             )
 

@@ -37,21 +37,33 @@ def _format_scalar(value) -> str:
 
 
 class SparseVector:
-    """Index -> coefficient map; zero coefficients are dropped on construction."""
+    """Index -> coefficient map sorted by index; zero coefficients are dropped
+    and NaN ones refused on construction."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries=None):
         data = {}
+        ordered = True  # stored indices so far strictly increasing
         if entries:
             items = entries.items() if isinstance(entries, dict) else entries
+            last = 0
             for idx, val in items:
-                if not isinstance(idx, int) or isinstance(idx, bool) or idx < 1:
+                if (type(idx) is not int
+                        and (isinstance(idx, bool) or not isinstance(idx, int))
+                        or idx < 1):
                     raise VectorError(f"bad index {idx!r}")
                 if val == 0:
                     continue
+                # only a float payload can be NaN; val != val on a Fraction
+                # would cost a Python-level comparison per entry
+                if isinstance(val, float) and val != val:
+                    raise VectorError(f"NaN coefficient at index {idx}")
+                if idx <= last:
+                    ordered = False
+                last = idx
                 data[idx] = val
-        self.entries = dict(sorted(data.items()))
+        self.entries = data if ordered else dict(sorted(data.items()))
 
     @classmethod
     def basis(cls, n: int, coeff=1.0) -> "SparseVector":
@@ -59,7 +71,7 @@ class SparseVector:
 
     @classmethod
     def indicator(cls, indices, coeff=1) -> "SparseVector":
-        return cls({int(i): coeff for i in indices})
+        return cls(dict.fromkeys(map(int, indices), coeff))
 
     @classmethod
     def signed_indicator(cls, indices, signs) -> "SparseVector":
@@ -112,10 +124,10 @@ class SparseVector:
         return not self.entries
 
     def max_index(self) -> int:
-        return max(self.entries) if self.entries else 0
+        return next(reversed(self.entries)) if self.entries else 0
 
     def min_index(self) -> int:
-        return min(self.entries) if self.entries else 0
+        return next(iter(self.entries)) if self.entries else 0
 
     def inf_norm(self):
         return max((abs(v) for v in self.entries.values()), default=0)

@@ -119,6 +119,24 @@ def test_run_walpha_default_spec_golden(tmp_path):
     assert len(checks["democracy-ratio-growth"]["ratios"]) == 4
 
 
+# SHA-256 of the outputs of `greedylab repro repro-l2sum` at its defaults
+# (2000 samples, size cap 200, seed 0)
+L2SUM_GOLDEN = {
+    "repro-l2sum.csv":
+        "dd23c43d20646dfe6bae6c56c55093b436b35e8de80207b0bfda6c345ce01441",
+    "repro-l2sum.summary.json":
+        "9d7892ac564ca659d83662b94e522135af495634244cac48eb7ee68c6d2e228f",
+}
+
+
+def test_run_l2sum_default_spec_golden(tmp_path):
+    summary = run_experiment(ExperimentSpec("repro-l2sum"), tmp_path)
+    assert summary["status"] == "PASS"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(L2SUM_GOLDEN)
+    for name, digest in L2SUM_GOLDEN.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 def test_unknown_experiment_rejected(tmp_path):
     with pytest.raises(ConfigError):
         run_experiment(ExperimentSpec("repro-nope", {}), tmp_path)

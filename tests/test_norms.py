@@ -1,14 +1,15 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greedylab.norms import (NormDomainError, block_sum_norm, kt_block_norm,
                              kt_block_of, kt_global_index, mixed_parity_norm)
 from greedylab.spaces import make_space
-from greedylab.vectors import SparseVector
+from greedylab.vectors import SparseVector, VectorError
 
 
 def harmonic(n):
@@ -56,7 +57,10 @@ def dense_kt_block_norm(x, N, want_witness=False):
         if i > hi:
             raise NormDomainError(f"index {i} outside the window space [1..{hi}]")
         squares.append(float(a) * float(a))
-    total = math.fsum(squares)
+    try:
+        total = math.fsum(squares)
+    except OverflowError:
+        total = math.inf
     l2 = (math.sqrt(total) if 2.0 ** -969 <= total < math.inf
           else math.hypot(*map(float, x.entries.values())))
     best = 0.0
@@ -86,17 +90,20 @@ def dense_block_sum_norm(x, outer, want_witness=False):
         N, local = kt_block_of(g)
         per_block.setdefault(N, {})[local] = a
     blocks = sorted(per_block.items())
-    parts = [dense_kt_block_norm(SparseVector(entries), N, True)
-             for N, entries in blocks]
-    norms = [v for v, _ in parts]
+    norms = [dense_kt_block_norm(SparseVector(entries), N) for N, entries in blocks]
     if outer == "c0":
         value = max(norms, default=0.0)
     else:
-        total = math.fsum(v * v for v in norms)
+        try:
+            total = math.fsum(v * v for v in norms)
+        except OverflowError:
+            total = math.inf
         value = (math.sqrt(total) if 2.0 ** -969 <= total < math.inf
                  else math.hypot(*norms))
     if not want_witness:
         return value
+    parts = [dense_kt_block_norm(SparseVector(entries), N, True)
+             for N, entries in blocks]
     top = norms.index(value) if outer == "c0" and norms else None
     f = {}
     for k, ((N, _), (v, part)) in enumerate(zip(blocks, parts)):
@@ -107,23 +114,85 @@ def dense_block_sum_norm(x, outer, want_witness=False):
 
 
 _FLOATS = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+_HUGE = st.floats(1e154, 1e308).flatmap(lambda f: st.sampled_from((f, -f)))
+_SUBNORMAL = st.floats(-2.0 ** -1022, 2.0 ** -1022, allow_subnormal=True)
+# the payloads the evaluators accept: floats of every range, ints past 2^53,
+# Fractions (some too small for a float), and +-1 for tied blocks
+_PAYLOADS = st.one_of(
+    _FLOATS, st.floats(allow_nan=False, allow_infinity=False), _HUGE, _SUBNORMAL,
+    st.integers(-2 ** 70, 2 ** 70), st.fractions(max_denominator=10 ** 6),
+    st.integers(1, 10 ** 6).map(lambda k: Fraction(k, 10 ** 330)),
+    st.sampled_from((1, -1.0)))
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def _outcome(norm, *args):
+    # a witness entry is nan where 1/l2 or the norm itself overflowed; both
+    # implementations then refuse to build the functional
+    try:
+        return norm(*args)
+    except VectorError as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
 @given(N=st.integers(1, 40), data=st.data())
 def test_window_norm_matches_dense_scan(N, data):
-    x = data.draw(st.dictionaries(st.integers(1, 2 * N - 1), _FLOATS,
+    x = data.draw(st.dictionaries(st.integers(1, 2 * N - 1), _PAYLOADS,
                                   max_size=2 * N - 1).map(SparseVector))
     assert kt_block_norm(x, N) == dense_kt_block_norm(x, N)
-    assert kt_block_norm(x, N, True) == dense_kt_block_norm(x, N, True)
+    assert (_outcome(kt_block_norm, x, N, True)
+            == _outcome(dense_kt_block_norm, x, N, True))
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.dictionaries(st.integers(1, 2000), _PAYLOADS, max_size=40).map(SparseVector),
+       st.sampled_from(("c0", "l2")))
+# the block's Euclidean part and the total overflow: its weight is inf/inf
+@example(SparseVector({2: 1.7e308, 3: 1.7e308}), "l2")
+def test_block_sum_norm_matches_dense_scan(x, outer):
+    assert block_sum_norm(x, outer) == dense_block_sum_norm(x, outer)
+    assert (_outcome(block_sum_norm, x, outer, True)
+            == _outcome(dense_block_sum_norm, x, outer, True))
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(st.dictionaries(st.integers(1, 2000), _FLOATS, max_size=40).map(SparseVector),
-       st.sampled_from(("c0", "l2")))
-def test_block_sum_norm_matches_dense_scan(x, outer):
-    assert block_sum_norm(x, outer) == dense_block_sum_norm(x, outer)
-    assert block_sum_norm(x, outer, True) == dense_block_sum_norm(x, outer, True)
+@given(st.dictionaries(st.integers(1, 45), st.tuples(st.integers(0, 99), _PAYLOADS),
+                       min_size=1, max_size=8))
+def test_one_point_blocks_are_their_modulus(picks):
+    # one point per block: block N's local index is drawn in [1..2N-1]
+    x = SparseVector({kt_global_index(N, 1 + k % (2 * N - 1)): a
+                      for N, (k, a) in picks.items()})
+    moduli = [abs(float(a)) for a in x.entries.values()]
+    for (g, a), modulus in zip(x.entries.items(), moduli):
+        N, local = kt_block_of(g)
+        alone = SparseVector({local: a})
+        assert kt_block_norm(alone, N) == modulus
+        for outer in ("c0", "l2"):
+            assert block_sum_norm(SparseVector({g: a}), outer) == modulus
+    assert block_sum_norm(x, "c0") == max(moduli, default=0.0)
+    witness = _outcome(block_sum_norm, x, "c0", True)
+    assert witness == _outcome(dense_block_sum_norm, x, "c0", True)
+    if witness is not VectorError and 0 < witness[0] and 1 / witness[0] < math.inf:
+        # the c0 witness lives on the first block attaining the max
+        value, f = witness
+        g = next(g for g, m in zip(x.entries, moduli) if m == value)
+        assert list(f.entries) == [g]
+        assert f.entries[g] == (1 / value) * float(x.entries[g])
+
+
+def test_c0_witness_takes_the_first_tied_block():
+    # blocks 2 and 3 hold the same pattern, so their norms tie at sqrt(2)
+    x = SparseVector({kt_global_index(2, 1): 1.0, kt_global_index(2, 3): -1.0,
+                      kt_global_index(3, 2): 1.0, kt_global_index(3, 4): -1.0})
+    value, f = block_sum_norm(x, "c0", True)
+    assert value == math.sqrt(2.0)
+    assert (value, f) == dense_block_sum_norm(x, "c0", True)
+    assert f.support == (2, 4)
+
+
+def test_dimension_cap_names_the_top_index():
+    with pytest.raises(NormDomainError, match="support index 16 exceeds the cap 15"):
+        make_space("kt:N=8").norm(SparseVector({3: 1.0, 16: 2.0}))
 
 
 def test_global_block_layout():
