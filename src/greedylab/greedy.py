@@ -3,7 +3,8 @@
 Greedy sets pick the largest coefficient moduli; the best m-term error over a
 family minimizes over admissible supports with free coefficients, exactly: the
 projection error where the suppression constant is 1, else Kelley's cutting
-planes on norming functionals.  Candidate supports lie in the support of x,
+planes on norming functionals, each LP solved by an integer-preserving
+(fraction-free) simplex.  Candidate supports lie in the support of x,
 plus the EXTRA_OFFSUPPORT smallest unused indices where the suppression
 constant is not 1 (an off-support index cannot lower a projection error).
 Each constant's defining ratio is written once, in `_ratio`: the estimators
@@ -17,8 +18,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, count, islice, product
-from operator import mul
 
+from .norms import NormDomainError
 from .vectors import SparseVector
 
 TIE_TOL = 1e-12
@@ -92,12 +93,8 @@ def greedy_set(x: SparseVector, m: int, tie_break: str = "smallest-index",
         return _result_for(x, tuple(ranked[:m]), m, tie_flag)
     if tie_break != "enumerate-all":
         raise GreedyError(f"unknown tie_break {tie_break!r}")
-    need = m - len(above)
-    tied_sorted = sorted(tied)
-    results = []
-    for combo in combinations(tied_sorted, need):
-        results.append(_result_for(x, tuple(above) + combo, m, tie_flag))
-    return results
+    return [_result_for(x, tuple(above) + combo, m, tie_flag)
+            for combo in combinations(sorted(tied), m - len(above))]
 
 
 # ---------------------------------------------------------------------------
@@ -134,33 +131,46 @@ def family_members_within(family, pool, size_cap: int):
 
 def _cut_lp(cuts, width):
     """Exact minimum of t over t >= 0, 0 <= d_n <= width and the cuts
-    t + sum_n g_n d_n >= b, given as pairs (g, b) of Fractions; returns (t, d).
+    t + sum_n g_n d_n >= b, given as pairs (g, b) of Fractions; returns (t, d)
+    in Fractions.
 
     Bland-rule simplex on the dual, max sum_j b_j l_j - width sum_n u_n over
     l, u >= 0 with sum_j l_j <= 1 and sum_j g_jn l_j <= u_n, whose origin is
     a feasible basis; (t, d) is minus the final reduced costs of the slacks.
+    The tableau is scaled once to integers by D, the lcm of the denominators
+    of the cuts and of width, and pivoted fraction-free (Bareiss, Edmonds):
+    each row is det times its Gauss-Jordan row, where det, the previous pivot
+    (1 at first), is |det P| for the submatrix P on the pivoted rows and their
+    basic columns.  Those rows are adj(P) times integer rows, the others det P
+    times Schur complements, so v*p - f*q is a multiple of det and the floor
+    division exact.  Pivots are positive: signs and ratios are the true ones.
     """
     J, k = len(cuts), len(cuts[0][0])
     slack = J + k
-    rows = [[1 if r == 0 else g[r - 1] for g, _ in cuts]
-            + [-int(m == r - 1) for m in range(k)]
-            + [int(s == r) for s in range(k + 1)] + [int(r == 0)]
+    D = math.lcm(width.denominator, *(v.denominator for g, b in cuts for v in (*g, b)))
+    rows = [[D if r == 0 else g[r - 1].numerator * D // g[r - 1].denominator
+             for g, _ in cuts] + [-D * (m == r - 1) for m in range(k)]
+            + [D * (s == r) for s in range(k + 1)] + [D * (r == 0)]
             for r in range(k + 1)]
-    obj = [b for _, b in cuts] + [-width] * k + [0] * (k + 2)
+    obj = ([b.numerator * D // b.denominator for _, b in cuts]
+           + [-width.numerator * D // width.denominator] * k + [0] * (k + 2))
     basis = list(range(slack, slack + k + 1))
+    det = 1
     while True:
         enter = next((j for j in range(slack + k + 1) if obj[j] > 0), None)
         if enter is None:
-            return -obj[slack], [-v for v in obj[slack + 1:-1]]
+            t, *d = (Fraction(-v, det * D) for v in obj[slack:-1])
+            return t, d
         # the primal is feasible, so the dual is bounded and a row qualifies
-        _, _, r = min((row[-1] / row[enter], basis[i], i)
+        _, _, r = min((Fraction(row[-1], row[enter]), basis[i], i)
                       for i, row in enumerate(rows) if row[enter] > 0)
-        pivot = rows[r]
-        pivot[:] = [v / pivot[enter] for v in pivot]
+        pivot, p = rows[r], rows[r][enter]
         for row in rows + [obj]:
-            if row is not pivot and row[enter]:
-                factor = row[enter]
-                row[:] = [v - factor * p if p else v for v, p in zip(row, pivot)]
+            if row is not pivot:
+                f = row[enter]
+                row[:] = ([(v * p - f * q) // det for v, q in zip(row, pivot)] if f
+                          else [v * p // det for v in row])
+        det = p
         basis[r] = enter
 
 
@@ -175,7 +185,8 @@ def best_coefficients(x: SparseVector, support, oracle):
     at a repeated cut (exact on a polyhedral norm) or a gap within GAP_TOL,
     and is unconverged after KELLEY_MAX_CUTS cuts.  Returns (value,
     coefficients dict, converged flag): the value is the norm at the
-    coefficients, floats for float payloads and exact otherwise.
+    coefficients, floats for float payloads and exact otherwise.  A residual
+    norm past the float range raises NormDomainError.
     """
     support = tuple(sorted(support))
     if not support:
@@ -184,24 +195,26 @@ def best_coefficients(x: SparseVector, support, oracle):
         return oracle.norm(x.drop(support)), {n: x.get(n) for n in support}, True
     real = float if x.has_float_payload() else Fraction
     coeffs = [x.get(n) for n in support]
+    rest = x.drop(support).items()
     cuts = []
     best = (math.inf, None)
     converged = True
     for _ in range(KELLEY_MAX_CUTS):
         value, f = oracle.functional(x - SparseVector(dict(zip(support, coeffs))))
+        if value == math.inf:
+            raise NormDomainError(f"residual norm on support {support} overflows floats")
         if not cuts:
-            # shift c = low + d so the box becomes 0 <= d <= width
-            width = 2 * Fraction(value)
-            low = [Fraction(c) - width / 2 for c in coeffs]
+            # c = low + d, low = x_A - r: 0 <= d <= 2r, b = f(x.drop(A)) + r sum g
+            r = Fraction(value)
+            low = [Fraction(c) - r for c in coeffs]
         if value < best[0]:
             best = (value, coeffs)
         g = tuple(Fraction(f.get(n)) for n in support)
-        fx = sum(Fraction(f.get(i)) * Fraction(v) for i, v in x.items())
-        cut = (g, fx - sum(map(mul, g, low)))
+        cut = (g, sum(Fraction(f.get(i)) * Fraction(v) for i, v in rest) + r * sum(g))
         if cut in cuts:
             break
         cuts.append(cut)
-        bound, d = _cut_lp(cuts, width)
+        bound, d = _cut_lp(cuts, 2 * r)
         if best[0] - bound <= GAP_TOL * max(1, best[0]):
             break
         coeffs = [real(lo + dn) for lo, dn in zip(low, d)]
@@ -624,10 +637,8 @@ def _grid_equality_check(oracle, family, dim: int, tol: float = 1e-6):
     map into each other (unit coefficients keep every transformed vector on
     the grid).  Returns both maxima and the verdict."""
     idxs = tuple(range(1, dim + 1))
-    table = {}
-    for t in product((-1.0, 0.0, 1.0), repeat=dim):
-        vec = SparseVector({i: v for i, v in zip(idxs, t) if v})
-        table[t] = oracle.norm(vec)
+    table = {t: oracle.norm(SparseVector({i: v for i, v in zip(idxs, t) if v}))
+             for t in product((-1.0, 0.0, 1.0), repeat=dim)}
 
     def norm_of(entries: dict) -> float:
         key = tuple(float(entries.get(i, 0.0)) for i in idxs)
@@ -663,20 +674,11 @@ def _grid_equality_check(oracle, family, dim: int, tol: float = 1e-6):
         B = tuple(i for i, r in zip(idxs, assign) if r.startswith("B"))
         if len(A) > len(B) or A not in member_set:
             continue
-        x = {i: (-1.0 if r == "x-" else 1.0)
-             for i, r in zip(idxs, assign) if r in ("x-", "x+")}
-        lhs = dict(x)
-        for i, r in zip(idxs, assign):
-            if r == "A-":
-                lhs[i] = -1.0
-            elif r == "A+":
-                lhs[i] = 1.0
-        rhs = dict(x)
-        for i, r in zip(idxs, assign):
-            if r == "B-":
-                rhs[i] = -1.0
-            elif r == "B+":
-                rhs[i] = 1.0
+        # x, x + signs on A and x + coefficients on B; the roles are disjoint
+        signed = {i: (r[0], -1.0 if r[1] == "-" else 1.0)
+                  for i, r in zip(idxs, assign) if r != "x0"}
+        x, lhs, rhs = ({i: v for i, (role, v) in signed.items() if role in kinds}
+                       for kinds in ("x", "xA", "xB"))
         denom = norm_of(rhs)
         if denom < 1e-12:
             continue
@@ -692,12 +694,8 @@ def _grid_equality_check(oracle, family, dim: int, tol: float = 1e-6):
             "difference": abs(max_a - max_b), "equal": abs(max_a - max_b) <= tol}
 
 
-def _all_subsets(items):
-    items = tuple(items)
-    out = [()]
-    for size in range(1, len(items) + 1):
-        out.extend(combinations(items, size))
-    return out
+def _all_subsets(items: tuple):
+    return [c for size in range(len(items) + 1) for c in combinations(items, size)]
 
 
 def theorem_suite(oracle, family, spec: TheoremSuiteSpec) -> dict:

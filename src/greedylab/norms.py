@@ -113,7 +113,8 @@ def _window_scan(entries, N, outer, want_witness):
         if l2 >= best:
             c = 1 / l2 if l2 else 0  # l2 is 0 only where every float(a) is
             for j in range(lo, hi):
-                e = c * floats[j]
+                # 1/l2 overflows below about 5.6e-309: divide there instead
+                e = c * floats[j] if c != math.inf else floats[j] / l2
                 if e:  # a zero drops out before w scales it, as w may be nan
                     f[keys[j]] = w * e
         else:

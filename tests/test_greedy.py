@@ -14,6 +14,7 @@ from greedylab.greedy import (CONSTANT_NAMES, GreedyError, PropertyConfig,
                               evaluate_witness, greedy_set,
                               grid_best_coefficients, property_A_check,
                               sigma_m, theorem_suite)
+from greedylab.norms import NormDomainError
 from greedylab.schreier import FamilyHandle
 from greedylab.spaces import make_space
 from greedylab.vectors import SparseVector
@@ -175,14 +176,93 @@ def test_best_coefficients_past_coordinate_descent_stall():
     assert value == james.norm(exact - SparseVector(coeffs))
 
 
+def _exact_lp(cuts, width):
+    # == alone would pass on floats (0.5 == Fraction(1, 2))
+    t, d = _cut_lp(cuts, width)
+    assert type(t) is Fraction and all(type(v) is Fraction for v in d)
+    return t, d
+
+
 def test_cut_lp_degenerate_exact():
     F = Fraction
     one = ((F(1),), F(1))
     # a repeated cut and a zero right-hand side: min over d of max(1 - d, d)
-    assert _cut_lp([one, one, ((F(-1),), F(0))], F(2)) == (F(1, 2), [F(1, 2)])
+    assert _exact_lp([one, one, ((F(-1),), F(0))], F(2)) == (F(1, 2), [F(1, 2)])
     cuts = [((F(1), F(0)), F(1)), ((F(0), F(1)), F(1)), ((F(0), F(1)), F(1)),
             ((F(0), F(0)), F(0)), ((F(-1), F(-1)), F(-1))]
-    assert _cut_lp(cuts, F(2)) == (F(1, 3), [F(2, 3), F(2, 3)])
+    assert _exact_lp(cuts, F(2)) == (F(1, 3), [F(2, 3), F(2, 3)])
+    # an optimum that is no double: a float pivot step rounds it
+    b = F(12230316121643683, 4503599627370496)
+    width = F(3057579030410921, 562949953421312)
+    assert _exact_lp([((F(0),), b)], width) == (b, [F(0)])
+
+
+def reference_cut_lp(cuts, width):
+    """`_cut_lp` by the same Bland-rule dual simplex on a Fraction tableau."""
+    J, k = len(cuts), len(cuts[0][0])
+    slack = J + k
+    rows = [[Fraction(v) for v in [1 if r == 0 else g[r - 1] for g, _ in cuts]
+             + [-int(m == r - 1) for m in range(k)]
+             + [int(s == r) for s in range(k + 1)] + [int(r == 0)]]
+            for r in range(k + 1)]
+    obj = [Fraction(v) for v in [b for _, b in cuts] + [-width] * k + [0] * (k + 2)]
+    basis = list(range(slack, slack + k + 1))
+    while True:
+        enter = next((j for j in range(slack + k + 1) if obj[j] > 0), None)
+        if enter is None:
+            return -obj[slack], [-v for v in obj[slack + 1:-1]]
+        _, _, r = min((row[-1] / row[enter], basis[i], i)
+                      for i, row in enumerate(rows) if row[enter] > 0)
+        pivot = rows[r]
+        pivot[:] = [Fraction(v) / pivot[enter] for v in pivot]
+        for row in rows + [obj]:
+            if row is not pivot and row[enter]:
+                factor = row[enter]
+                row[:] = [v - factor * p for v, p in zip(row, pivot)]
+        basis[r] = enter
+
+
+_LP_ENTRIES = (st.integers(-6, 6).map(Fraction),
+               st.floats(-8, 8, allow_nan=False).map(Fraction),
+               st.fractions(-6, 6, max_denominator=24))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_cut_lp_matches_fraction_reference(data):
+    k = data.draw(st.integers(1, 4))
+    entry = data.draw(st.sampled_from(_LP_ENTRIES))
+    fresh = st.tuples(st.tuples(*[entry] * k), entry)
+    cuts = []
+    for _ in range(data.draw(st.integers(1, 9))):
+        kind = data.draw(st.sampled_from(("fresh", "fresh", "repeat", "zero")))
+        if kind == "repeat" and cuts:
+            cuts.append(data.draw(st.sampled_from(cuts)))
+        elif kind == "zero":
+            cuts.append(((Fraction(0),) * k, Fraction(0)))
+        else:
+            cuts.append(data.draw(fresh))
+    width = abs(data.draw(entry))
+    t, d = _exact_lp(cuts, width)
+    assert (t, d) == reference_cut_lp(cuts, width)
+
+
+@pytest.mark.parametrize("entries", [{2: 5e-324, 9: 1e-320},
+                                     {8: 1e-310, 9: 3e-310, 10: 2e-310}])
+def test_cuts_at_subnormal_norms(entries):
+    # 1/l2 overflowed in the norming functionals, and Fraction(inf) raised
+    kt = make_space("kt:N=8")
+    x = SparseVector(entries)
+    for A in [(n,) for n in x.support] + [(1,)]:
+        value, coeffs, _ = best_coefficients(x, A, kt)
+        assert value == kt.norm(x - SparseVector(coeffs))
+    assert sigma_m(x, 1, kt, S1).value <= kt.norm(x)
+
+
+def test_best_coefficients_names_a_norm_overflow():
+    x = SparseVector({2: 1.7e308, 3: 1.7e308, 5: 1.0})
+    with pytest.raises(NormDomainError, match="overflows"):
+        best_coefficients(x, (5,), make_space("ktsum:l2"))
 
 
 def test_estimator_determinism_and_witnesses():

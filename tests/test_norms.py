@@ -77,7 +77,10 @@ def dense_kt_block_norm(x, N, want_witness=False):
     if not want_witness:
         return value
     if l2 >= best:
-        return value, x.scale(1 / l2) if l2 else SparseVector()
+        c = 1 / l2 if l2 else 0
+        if c == math.inf:  # 1/l2 overflows: the entries are divided by l2
+            return value, SparseVector({i: float(a) / l2 for i, a in x.entries.items()})
+        return value, x.scale(c)
     return value, SparseVector({i: math.copysign(1 / math.sqrt(i - N + 1), peak)
                                 for i in range(N, top + 1)})
 
@@ -126,7 +129,7 @@ _PAYLOADS = st.one_of(
 
 
 def _outcome(norm, *args):
-    # a witness entry is nan where 1/l2 or the norm itself overflowed; both
+    # a witness entry is nan where the norm itself overflowed; both
     # implementations then refuse to build the functional
     try:
         return norm(*args)
@@ -178,6 +181,15 @@ def test_one_point_blocks_are_their_modulus(picks):
         g = next(g for g, m in zip(x.entries, moduli) if m == value)
         assert list(f.entries) == [g]
         assert f.entries[g] == (1 / value) * float(x.entries[g])
+
+
+def test_functionals_stay_finite_at_subnormal_block_norms():
+    # 1/l2 overflows below about 5.6e-309, so these entries are x / l2
+    assert kt_block_norm(SparseVector({1: 5e-324}), 1, True) == (
+        5e-324, SparseVector({1: 1.0}))
+    # the inactive block's weight 0.0 met 1/l2 = inf here and made a nan
+    assert block_sum_norm(SparseVector({1: 1.0, 2: 2.2e-309}), "c0", True) == (
+        1.0, SparseVector({1: 1.0}))
 
 
 def test_c0_witness_takes_the_first_tied_block():
