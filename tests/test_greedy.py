@@ -214,7 +214,7 @@ def reference_cut_lp(cuts, width):
         _, _, r = min((row[-1] / row[enter], basis[i], i)
                       for i, row in enumerate(rows) if row[enter] > 0)
         pivot = rows[r]
-        pivot[:] = [Fraction(v) / pivot[enter] for v in pivot]
+        pivot[:] = [v / pivot[enter] for v in pivot]
         for row in rows + [obj]:
             if row is not pivot and row[enter]:
                 factor = row[enter]

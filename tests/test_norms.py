@@ -79,7 +79,8 @@ def dense_kt_block_norm(x, N, want_witness=False):
     if l2 >= best:
         c = 1 / l2 if l2 else 0
         if c == math.inf:  # 1/l2 overflows: the entries are divided by l2
-            return value, SparseVector({i: float(a) / l2 for i, a in x.entries.items()})
+            return value, SparseVector({i: float(a) / l2
+                                        for i, a in x.entries.items()})
         return value, x.scale(c)
     return value, SparseVector({i: math.copysign(1 / math.sqrt(i - N + 1), peak)
                                 for i in range(N, top + 1)})
