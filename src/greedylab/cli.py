@@ -7,11 +7,12 @@ import json
 import sys
 
 from .config import BudgetExceeded
-from .greedy import SearchSpec, greedy_set
+from .greedy import GreedyError, SearchSpec, greedy_set
 from .harness import (ConfigError, ExperimentSpec, EXPERIMENTS, _sanitize,
                       list_experiments, parse_config, run_estimate,
                       run_experiment, write_csv, write_json)
-from .ordinals import parse_ordinal
+from .norms import NormDomainError
+from .ordinals import OrdinalError, parse_ordinal
 from .rah import IndexStream, rah_schreier_bound_search, rah_sequence
 from .schreier import FamilyError, FamilyHandle, check_index_set, family_subsets
 from .spaces import make_space
@@ -55,8 +56,8 @@ def _cmd_family_enumerate(args):
 def _cmd_norm_eval(args):
     oracle = make_space(args.space)
     x = SparseVector.parse(args.vec)
-    value, witness = oracle.norm_with_witness(x)
-    _emit({"space": args.space, "norm": value, "witness": witness})
+    value, f = oracle.norm(x, want_functional=True)
+    _emit({"space": args.space, "norm": value, "functional": f.to_wire()})
 
 
 def _cmd_tga_run(args):
@@ -246,7 +247,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.fn(args)
-    except (FamilyError, VectorError, ConfigError, BudgetExceeded) as exc:
+    except (FamilyError, VectorError, ConfigError, BudgetExceeded,
+            NormDomainError, OrdinalError, GreedyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return int(result) if result is not None else 0

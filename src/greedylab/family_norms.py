@@ -315,6 +315,13 @@ def schreier_alpha_norm(x: SparseVector, alpha: Ordinal, max_nodes=None,
     return _divided(out, D, want_witness)
 
 
+def sup_functional(x: SparseVector, alpha: Ordinal):
+    """The family sup norm of x and a norming functional f of x: the signs
+    of x on a member attaining the norm, so |f(z)| <= norm(z) for every z."""
+    value, member = schreier_alpha_norm(x, alpha, want_witness=True)
+    return value, SparseVector({i: 1 if x.entries[i] > 0 else -1 for i in member})
+
+
 def naive_schreier_norm(x: SparseVector, alpha: Ordinal):
     """Reference evaluator: enumerate every subset of the support."""
     supp = x.support
@@ -491,57 +498,43 @@ def naive_james_norm(x: SparseVector, alpha: Ordinal = ONE):
 # ---------------------------------------------------------------------------
 
 
-class _ExplicitBlock:
-    """Adapter for an explicit (index set, weights) pair."""
+def weighted_schreier_norm(x: SparseVector, family, want_witness=False):
+    """Evaluate the truncated weighted norm against `family.blocks`, weight
+    blocks exposing weight_at and min_index.
 
-    __slots__ = ("indices", "weights", "min_index")
-
-    def __init__(self, indices, weights):
-        self.indices = tuple(indices)
-        if not self.indices:
-            raise FamilyError("weight block needs a nonempty index set")
-        self.weights = dict(weights)
-        self.min_index = self.indices[0]
-        total = sum(self.weights[i] for i in self.indices)
-        if total != 1:
-            raise FamilyError(f"weights must sum to one exactly, got {total}")
-
-    def weight_at(self, i):
-        return self.weights.get(i)
-
-
-def _as_blocks(family):
-    if hasattr(family, "blocks"):
-        return list(family.blocks)
-    return [
-        item if hasattr(item, "weight_at") else _ExplicitBlock(item[0], item[1])
-        for item in family
-    ]
-
-
-def weighted_schreier_norm(x: SparseVector, family):
-    """Evaluate the truncated weighted norm against a list of weight blocks.
-
-    `family` is either an object with a `.blocks` attribute or an iterable of
-    (indices, weights) pairs / block objects exposing weight_at and min_index.
+    `want_witness` adds a norming functional: min F times the signed weights
+    of x's support in the best block F, else sign(x_n) e_n at a largest |x_n|.
     """
-    blocks = _as_blocks(family)
     float_mode = x.has_float_payload()
     best = x.inf_norm()
     if float_mode:
         best = float(best)
-    for block in blocks:
+    best_block = None
+    for block in family.blocks:
         acc = 0
-        hit = False
         for i, v in x.entries.items():
             w = block.weight_at(i)
             if w is None:
                 continue
-            hit = True
             acc += (float(w) * abs(v)) if float_mode else (w * abs(v))
-        if not hit:
+        if not acc:  # nothing to weigh: leave the block's (maybe wide) start unread
             continue
         val = block.min_index * acc
         if val > best:
             best = val
-    return best
+            best_block = block
+    if not want_witness:
+        return best
+    f = {}
+    if best_block is None:  # the sup part attains it: a largest entry's sign
+        if x.entries:
+            top = max(x.entries, key=lambda i: abs(x.entries[i]))
+            f[top] = 1 if x.entries[top] > 0 else -1
+    else:
+        lo = best_block.min_index
+        for i, v in x.entries.items():
+            w = best_block.weight_at(i)
+            if w is not None:
+                w = lo * w if v > 0 else -lo * w
+                f[i] = float(w) if float_mode else w
+    return best, SparseVector(f)

@@ -200,7 +200,7 @@ def best_coefficients(x: SparseVector, support, oracle):
     best = (math.inf, None)
     converged = True
     for _ in range(KELLEY_MAX_CUTS):
-        value, f = oracle.functional(x - SparseVector(dict(zip(support, coeffs))))
+        value, f = oracle.norm(x - SparseVector(dict(zip(support, coeffs))), True)
         if value == math.inf:
             raise NormDomainError(f"residual norm on support {support} overflows floats")
         if not cuts:

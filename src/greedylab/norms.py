@@ -160,8 +160,12 @@ def block_sum_norm(x: SparseVector, outer: str, want_witness=False):
     return _window_scan(x.entries, 0, outer, want_witness)
 
 
-def mixed_parity_norm(x: SparseVector) -> float:
-    """l1 over even indices plus l2 over odd indices."""
+def mixed_parity_norm(x: SparseVector, want_witness=False):
+    """l1 over even indices plus l2 over odd indices.
+
+    `want_witness` adds a norming functional: the signs of x on the even
+    indices plus its odd part over that part's Euclidean norm.
+    """
     even, odd = parts = ([], [])
     for i, v in x.entries.items():
         parts[i % 2].append(float(v))
@@ -170,40 +174,35 @@ def mixed_parity_norm(x: SparseVector) -> float:
     except OverflowError:
         # the terms are >= 0: a partial sum past the float range puts the sum there
         l1 = math.inf
-    return l1 + _euclidean(odd)
+    l2 = _euclidean(odd)
+    if not want_witness:
+        return l1 + l2
+    f = {i: float(v) / l2 if i % 2 else math.copysign(1.0, v)
+         for i, v in x.entries.items()}
+    return l1 + l2, SparseVector(f)
 
 
 @dataclass
 class NormOracle:
-    """A named norm with evaluation, certified basis bounds and metadata.
+    """A named norm with its one evaluator, dimension cap and metadata.
 
-    `certified` optionally carries proven upper constants, e.g. a suppression
-    constant; `functional` maps x to (norm, f), f(x) = norm, |f(z)| <= ||z||.
+    `evaluate(x, want_functional=False)` returns ||x||, or (||x||, f) with f
+    a norming functional: f(x) = ||x|| and |f(z)| <= ||z|| for every z.
+    `certified` optionally carries proven upper constants, e.g. a
+    suppression constant.
     """
 
     name: str
     evaluate: object
-    basis_bounds: tuple = (1.0, 1.0)
     dimension_cap: int = 1_000_000
-    functional: object = None
-    witness_fn: object = None
     certified: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def _check_cap(self, x: SparseVector):
+    def norm(self, x: SparseVector, want_functional=False):
         top = x.max_index()
         if top > self.dimension_cap:
             raise NormDomainError(
                 f"support index {top} exceeds the cap "
                 f"{self.dimension_cap} of space {self.name}"
             )
-
-    def norm(self, x: SparseVector):
-        self._check_cap(x)
-        return self.evaluate(x)
-
-    def norm_with_witness(self, x: SparseVector):
-        if self.witness_fn is None:
-            return self.norm(x), None
-        self._check_cap(x)
-        return self.witness_fn(x)
+        return self.evaluate(x, want_functional)

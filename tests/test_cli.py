@@ -3,6 +3,7 @@ import json
 from greedylab.cli import main
 from greedylab.ordinals import parse_ordinal
 from greedylab.schreier import schreier_member
+from greedylab.vectors import SparseVector
 
 TWO = parse_ordinal("2")
 
@@ -42,26 +43,38 @@ def test_norm_eval(capsys):
     payload = json.loads(out)
     assert payload["space"] == "james:a=1"
     assert payload["norm"] == 2.5
-    assert payload["witness"] == [3, 4, 5]
+    # the interval functional: the signs of the chain's interval sums
+    assert payload["functional"] == "3:1,4:-1,5:1"
 
-    # the level-2 search reports the minima chain it attains
     code, out = run_cli(capsys, "norm", "eval", "--space", "james:a=2",
                         "--vec", "3:1,4:-0.5,5:1,9:2,10:-1")
     assert code == 0
     payload = json.loads(out)
     assert payload["norm"] == 5.5
-    assert payload["witness"] == [3, 4, 5, 9, 10]
+    assert payload["functional"] == "3:1,4:-1,5:1,9:1,10:-1"
 
-    # the level-2 sup norm reports a member attaining it; the support is not
-    # itself a member, so the value comes from the window DP
+    # every space prints its norming functional
+    code, out = run_cli(capsys, "norm", "eval", "--space", "kt:N=2",
+                        "--vec", "1:3,3:-4")
+    assert code == 0
+    payload = json.loads(out)
+    f = SparseVector.parse(payload["functional"])
+    assert payload["norm"] == 5.0 and f.support == (1, 3)
+    assert abs(3 * f.get(1) - 4 * f.get(3) - 5.0) <= 1e-12
+
+    # the level-2 sup norm's functional is the signs of x on a member
+    # attaining it; the support is not itself a member, so the value comes
+    # from the window DP
     vec = {2: 5, 3: -1, 4: 2, 5: 1, 6: 3, 7: 1, 8: 2, 9: 1, 10: 4, 11: 1, 12: 1}
     code, out = run_cli(capsys, "norm", "eval", "--space", "schreier:a=2",
                         "--vec", ",".join(f"{i}:{v}" for i, v in vec.items()))
     assert code == 0
     payload = json.loads(out)
     assert payload["norm"] == 19
-    assert schreier_member(payload["witness"], TWO)
-    assert sum(abs(vec[i]) for i in payload["witness"]) == 19
+    f = SparseVector.parse(payload["functional"])
+    assert schreier_member(f.support, TWO)
+    assert sum(abs(vec[i]) for i in f.support) == 19
+    assert all(f.get(i) * vec[i] > 0 for i in f.support)
 
 
 def test_tga_run(capsys):
@@ -129,3 +142,13 @@ def test_cli_error_paths(capsys):
     code, _ = run_cli(capsys, "family", "check", "--family", "nope:1",
                       "--set", "1")
     assert code == 2
+    # domain, ordinal and greedy errors end as one error line, not a traceback
+    for argv in (("norm", "eval", "--space", "bogus", "--vec", "1:1"),
+                 ("norm", "eval", "--space", "kt:N=2", "--vec", "9:1"),
+                 ("family", "check", "--family", "s:zz", "--set", "1"),
+                 ("constants", "estimate", "--space", "parity", "--family",
+                  "s:1", "--name", "Zz"),
+                 ("tga", "run", "--space", "parity", "--vec", "1:1", "--m", "-1"),
+                 ("theorems", "check", "--space", "kt:N=0")):
+        assert main(list(argv)) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -11,6 +11,7 @@ from greedylab.family_norms import (_interval_best, jamesification_norm,
                                     naive_james_norm, naive_schreier_norm,
                                     schreier_alpha_norm, weighted_schreier_norm)
 from greedylab.ordinals import ONE, ZERO, parse_ordinal
+from greedylab.rah import make_weight_family
 from greedylab.schreier import f_alpha_member, schreier_member
 from greedylab.vectors import SparseVector
 
@@ -360,18 +361,10 @@ def test_james_greedy_removal_never_grows():
 
 
 def test_weighted_norm_explicit_family():
-    fam = [((3, 4, 5), {3: Fraction(1, 3), 4: Fraction(1, 3), 5: Fraction(1, 3)}),
-           ((6, 7, 8, 9, 10, 11), {i: Fraction(1, 6) for i in range(6, 12)})]
+    # level-0 blocks [3..5] and [6..11] with flat weights 1/3 and 1/6
+    fam = make_weight_family(ZERO, 2, 2)
     for n in (1, 3, 7, 100):
         assert weighted_schreier_norm(SparseVector({n: 1}), fam) == 1
     assert weighted_schreier_norm(SparseVector.indicator([3, 4, 5], 1), fam) == 3
     assert weighted_schreier_norm(SparseVector.indicator(range(6, 12), 1), fam) == 6
     assert weighted_schreier_norm(SparseVector(), fam) == 0
-
-
-def test_weighted_norm_rejects_bad_mass():
-    from greedylab.schreier import FamilyError
-
-    bad = [((3, 4), {3: Fraction(1, 3), 4: Fraction(1, 3)})]
-    with pytest.raises(FamilyError):
-        weighted_schreier_norm(SparseVector({3: 1}), bad)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -174,6 +175,23 @@ def test_best_coefficients_past_coordinate_descent_stall():
     value, coeffs, converged = best_coefficients(exact, (2, 10), james)
     assert value == Fraction("2.3924") and converged
     assert value == james.norm(exact - SparseVector(coeffs))
+
+
+@pytest.mark.parametrize("descriptor", ["parity", "schreier:a=1",
+                                        "schreier:a=2", "walpha:a=0"])
+def test_projection_matches_cutting_planes(descriptor):
+    # on a space whose suppression constant is 1 the projection error is the
+    # minimum; Kelley's method on the same norm, with that certificate
+    # withheld, must find nothing lower
+    projected = make_space(descriptor)
+    kelley = dataclasses.replace(projected, certified={})
+    rng = random.Random(13)
+    for _ in range(40):
+        x = SparseVector({i: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                          for i in rng.sample(range(1, 16), 5)})
+        A = rng.sample(x.support + (16, 17), rng.randint(1, 3))
+        value, _, converged = best_coefficients(x, A, kelley)
+        assert converged and value == best_coefficients(x, A, projected)[0]
 
 
 def _exact_lp(cuts, width):

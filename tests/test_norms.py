@@ -208,6 +208,38 @@ def test_dimension_cap_names_the_top_index():
         make_space("kt:N=8").norm(SparseVector({3: 1.0, 16: 2.0}))
 
 
+def test_functional_requests_check_the_dimension_cap():
+    with pytest.raises(NormDomainError, match="support index 16 exceeds the cap 15"):
+        make_space("kt:N=8").norm(SparseVector({16: 1.0}), want_functional=True)
+    with pytest.raises(NormDomainError, match="exceeds the cap 512"):
+        make_space("james:a=1").norm(SparseVector({513: 1.0}), want_functional=True)
+
+
+@pytest.mark.parametrize("descriptor, message", [
+    ("kt:N=0", "N >= 1"), ("kt:N=-3", "N >= 1"),
+    ("kt:N=4,M=3", "space kt takes no option 'M'"),
+    ("walpha:a=1,size=3", "space walpha takes no option 'size'"),
+    ("walpha:a=1,blocks=x", "walpha blocks and n0 are ints"),
+    ("parity:junk", "bad space option 'junk'"),
+    ("parity:a=1", "space parity takes no option 'a'"),
+    ("bogus", "unknown space descriptor")])
+def test_make_space_refuses_bad_descriptors(descriptor, message):
+    with pytest.raises(NormDomainError, match=message):
+        make_space(descriptor)
+
+
+def test_weighted_functional_reads_the_best_block():
+    # the first level-1 block [3..23] has unit mass, so min F * mass = 3 wins
+    oracle = make_space("walpha:a=1")
+    x = SparseVector.indicator(range(3, 24), -1)
+    value, f = oracle.norm(x, want_functional=True)
+    assert value == 3 and _dot(f, x) == 3
+    assert f.get(3) == Fraction(-1, 3) and f.get(23) == Fraction(-1, 12)
+    # below that the sup part wins, at the first largest entry
+    value, f = oracle.norm(SparseVector({4: 0.5, 7: -2.0, 9: 2.0}), True)
+    assert (value, f) == (2.0, SparseVector({7: -1}))
+
+
 def test_global_block_layout():
     assert [kt_global_index(N, 1) for N in (1, 2, 3, 4)] == [1, 2, 5, 10]
     for g in range(1, 200):
@@ -270,7 +302,7 @@ def test_basis_bounds_certified(descriptor):
     oracle = make_space(descriptor)
     rng = random.Random(5)
     cap = min(oracle.dimension_cap, 100)
-    c1, c2 = oracle.basis_bounds
+    c1, c2 = 1.0, 1.0  # every space here has a normalised 1-bounded basis
     for n in sorted(rng.sample(range(1, cap + 1), 12)):
         assert abs(oracle.norm(SparseVector.basis(n)) - 1.0) < 1e-12
     for _ in range(50):
@@ -326,7 +358,8 @@ def _dot(f, z):
 
 @pytest.mark.parametrize("descriptor, top", [
     ("james:a=1", 16), ("james:a=2", 16), ("kt:N=8", 15), ("ktsum:c0", 40),
-    ("ktsum:l2", 40)])
+    ("ktsum:l2", 40), ("parity", 20), ("schreier:a=1", 20),
+    ("schreier:a=2", 20), ("walpha:a=1", 40), ("walpha:a=0", 20)])
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(data=st.data())
 def test_norming_functionals(descriptor, top, data):
@@ -337,7 +370,7 @@ def test_norming_functionals(descriptor, top, data):
     vectors = st.dictionaries(st.integers(1, top), coeffs,
                               max_size=8).map(SparseVector)
     y, z = data.draw(vectors), data.draw(vectors)
-    value, f = oracle.functional(y)
+    value, f = oracle.norm(y, want_functional=True)
     assert value == oracle.norm(y)
     assert abs(_dot(f, y) - value) <= 1e-12 * value
     # probes: z, and y moved along each coordinate, gaps of its support too
