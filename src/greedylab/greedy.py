@@ -4,11 +4,16 @@ Greedy sets pick the largest coefficient moduli; the best m-term error over a
 family minimizes over admissible supports with free coefficients, exactly: the
 projection error where the suppression constant is 1, else Kelley's cutting
 planes on norming functionals, each LP solved by an integer-preserving
-(fraction-free) simplex.  Candidate supports lie in the support of x,
-plus the EXTRA_OFFSUPPORT smallest unused indices where the suppression
-constant is not 1 (an off-support index cannot lower a projection error).
-Each constant's defining ratio is written once, in `_ratio`: the estimators
-maximize it into certified lower bounds, and their witnesses replay through it.
+(fraction-free) simplex, except that the first cut's LP optimum has a closed
+form and ends the search when it already closes the gap.  Candidate supports
+lie in the support of x, plus the EXTRA_OFFSUPPORT smallest unused indices
+where the suppression constant is not 1 (an off-support index cannot lower a
+projection error).  A support is skipped unsolved when the largest modulus it
+leaves, a lower bound on its error since every norm here dominates the sup
+norm, cannot beat the best so far; and a per-sample memo solves each support
+once for all the orders m of one sampled vector.  Each constant's defining
+ratio is written once, in `_ratio`: the estimators maximize it into certified
+lower bounds, and their witnesses replay through it.
 """
 
 from __future__ import annotations
@@ -174,6 +179,13 @@ def _cut_lp(cuts, width):
         basis[r] = enter
 
 
+def _one_cut_bound(cut, width):
+    """`_cut_lp([cut], width)[0]` in closed form: one cut (g, b) leaves
+    t = max(0, b - width * sum of the positive g_n)."""
+    g, b = cut
+    return max(Fraction(0), b - width * sum(v for v in g if v > 0))
+
+
 def best_coefficients(x: SparseVector, support, oracle):
     """Exact minimum over c of ||x - sum_{n in A} c_n e_n||.
 
@@ -214,8 +226,11 @@ def best_coefficients(x: SparseVector, support, oracle):
         if cut in cuts:
             break
         cuts.append(cut)
+        tol = GAP_TOL * max(1, best[0])
+        if len(cuts) == 1 and best[0] - _one_cut_bound(cut, 2 * r) <= tol:
+            break
         bound, d = _cut_lp(cuts, 2 * r)
-        if best[0] - bound <= GAP_TOL * max(1, best[0]):
+        if best[0] - bound <= tol:
             break
         coeffs = [real(lo + dn) for lo, dn in zip(low, d)]
     else:
@@ -281,7 +296,45 @@ class ApproximationResult:
     converged: bool
 
 
-def sigma_m(x: SparseVector, m: int, oracle, family) -> ApproximationResult:
+class _SampleMemo:
+    """One sampled vector's work, shared by its configurations (one per order
+    m) and keyed on the vector's identity: ||x||, and each support's error as
+    best_coefficients returns it (`fitted`) or as ||x.drop(A)|| (`dropped`).
+    Holds one vector at a time, for one oracle."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.x = None
+
+    def at(self, x):
+        if x is not self.x:
+            self.x, self._norm, self._ranked = x, None, None
+            self.fitted, self.dropped = {}, {}
+        return self
+
+    def norm(self):
+        if self._norm is None:
+            self._norm = self.oracle.norm(self.x)
+        return self._norm
+
+    def off_max(self, A):
+        """max |x_n| over n not in A, a lower bound on the error of every
+        approximant supported on A: each space's norm dominates the sup norm
+        (up to rounding the bound to a float, where the norm is a float;
+        _cutoff is a float, so comparing with it loses nothing)."""
+        if self._ranked is None:
+            self._ranked = _ranked_support(self.x)
+        return next((abs(self.x.entries[n]) for n in self._ranked if n not in A), 0)
+
+
+def _cutoff(best):
+    """A support replaces the best one only with an error below this: best
+    less a margin of 1e-15, relative below 1.  A support whose off_max is at
+    least this cannot win, so it is skipped unsolved."""
+    return best - 1e-15 * min(1, best)
+
+
+def sigma_m(x: SparseVector, m: int, oracle, family, memo=None) -> ApproximationResult:
     """Best m-term error over the family with free coefficients.
 
     Candidate supports are family members of size <= m inside the support of
@@ -289,30 +342,48 @@ def sigma_m(x: SparseVector, m: int, oracle, family) -> ApproximationResult:
     holds the EXTRA_OFFSUPPORT smallest unused indices (a recorded
     computational compromise); with that constant a support's error is
     ||x.drop(A)||, which an off-support index cannot lower.  The empty
-    support is always admissible.
+    support is always admissible, and the first support of least error wins.
+    A support is solved only if the sup-norm bound max_{n not in A} |x_n|
+    lets it beat the best so far, and at most once per `memo` (a _SampleMemo
+    of this oracle), which the orders m of one sampled x share.
     """
     _enumeration_guard(x, m)
+    memo = (memo or _SampleMemo(oracle)).at(x)
     pool = list(x.support)
     if oracle.certified.get("Ks") != 1:
         unused = (i for i in range(1, oracle.dimension_cap + 1) if i not in x.entries)
         pool += islice(unused, EXTRA_OFFSUPPORT)
-    best = ApproximationResult(oracle.norm(x), (), {}, True)
+    best = ApproximationResult(memo.norm(), (), {}, True)
+    cutoff = _cutoff(best.value)
     for A in family_members_within(family, pool, m)[1:]:
-        value, coeffs, converged = best_coefficients(x, A, oracle)
-        if value < best.value - 1e-15:
+        if memo.off_max(A) >= cutoff:
+            continue
+        if A not in memo.fitted:
+            memo.fitted[A] = best_coefficients(x, A, oracle)
+        value, coeffs, converged = memo.fitted[A]
+        if value < cutoff:
             best = ApproximationResult(value, A, coeffs, converged)
+            cutoff = _cutoff(value)
     return best
 
 
-def almost_greedy_error(x: SparseVector, m: int, oracle, family):
+def almost_greedy_error(x: SparseVector, m: int, oracle, family, memo=None):
     """Best m-term projection error over the family; exact minimum by
-    enumeration (off-support indices never help a projection)."""
+    enumeration (off-support indices never help a projection), pruned and
+    memoised as in sigma_m."""
     _enumeration_guard(x, m)
-    best = (oracle.norm(x), ())
+    memo = (memo or _SampleMemo(oracle)).at(x)
+    best = (memo.norm(), ())
+    cutoff = _cutoff(best[0])
     for A in family_members_within(family, x.support, m)[1:]:
-        value = oracle.norm(x.drop(A))
-        if value < best[0] - 1e-15:
+        if memo.off_max(A) >= cutoff:
+            continue
+        if A not in memo.dropped:
+            memo.dropped[A] = oracle.norm(x.drop(A))
+        value = memo.dropped[A]
+        if value < cutoff:
             best = (value, A)
+            cutoff = _cutoff(value)
     return best
 
 
@@ -391,10 +462,12 @@ def _random_family_member(rng, family, pool, size_cap: int) -> tuple:
     return member
 
 
-def _ratio(name: str, oracle, family, cfg: dict, norm=None) -> float:
+def _ratio(name: str, oracle, family, cfg: dict, memo=None) -> float:
     """The defining ratio of constant `name` on one configuration, whose
     vector fields are SparseVectors; 0 when its denominator is below 1e-9.
-    `norm` evaluates ||x|| for Cw, Cl and Ks, oracle.norm unless given."""
+    `memo`, a _SampleMemo of oracle, carries ||x|| and σ_m's support errors
+    across the configurations of one sampled x."""
+    memo = memo or _SampleMemo(oracle)
     if name in ("Cd", "Csd"):
         num, den = oracle.norm(cfg["vector_A"]), oracle.norm(cfg["vector_B"])
     elif name == "Cb":
@@ -406,29 +479,17 @@ def _ratio(name: str, oracle, family, cfg: dict, norm=None) -> float:
         else:
             res = greedy_set(x, cfg["m"])
             part = res.approximant if name == "Cw" else res.residual
-        num, den = oracle.norm(part), (norm or oracle.norm)(x)
+        num, den = oracle.norm(part), memo.at(x).norm()
     elif name in ("Cg", "Ca"):
         x, m = cfg["vector"], cfg["m"]
         num = oracle.norm(greedy_set(x, m).residual)
         if name == "Cg":
-            den = sigma_m(x, m, oracle, family).value
+            den = sigma_m(x, m, oracle, family, memo).value
         else:
-            den = almost_greedy_error(x, m, oracle, family)[0]
+            den = almost_greedy_error(x, m, oracle, family, memo)[0]
     else:
         raise GreedyError(f"unknown constant {name!r}")
     return num / den if den >= 1e-9 else 0.0
-
-
-def _last_norm(oracle):
-    """oracle.norm remembering its last vector, by identity: the Cw and Cl
-    configurations of one sample share their vector over every order m."""
-    last = [None, None]
-
-    def norm(x):
-        if x is not last[0]:
-            last[:] = [x, oracle.norm(x)]
-        return last[1]
-    return norm
 
 
 def _wire(cfg: dict) -> dict:
@@ -535,9 +596,9 @@ def estimate_constant(name: str, oracle, family, spec: SearchSpec) -> ConstantEs
                  for cfg in _template_configs(name, oracle, family, spec))
     sampled = (("sampled", cfg) for cfg in _sampled_configs(
         name, random.Random(spec.seed), oracle, family, spec))
-    norm = _last_norm(oracle)
+    memo = _SampleMemo(oracle)
     for kind, cfg in chain(templated, sampled):
-        ratio = _ratio(name, oracle, family, cfg, norm)
+        ratio = _ratio(name, oracle, family, cfg, memo)
         if ratio > best:
             best = ratio
             witness = {"kind": kind, **_wire(cfg)}
@@ -714,8 +775,9 @@ def theorem_suite(oracle, family, spec: TheoremSuiteSpec) -> dict:
     worst = 0.0
     worst_wit = None
     sampling = SearchSpec(samples=spec.samples, m_cap=spec.m_cap)
+    memo = _SampleMemo(oracle)
     for cfg in _sampled_configs("Cg", rng, oracle, family, sampling):
-        ratio = _ratio("Cg", oracle, family, cfg)
+        ratio = _ratio("Cg", oracle, family, cfg, memo)
         if ratio > worst:
             worst = ratio
             worst_wit = _wire(cfg)

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greedylab.greedy import (CONSTANT_NAMES, GreedyError, PropertyConfig,
-                              SearchSpec, TheoremSuiteSpec, _cut_lp, _ratio,
-                              _sampled_configs, almost_greedy_error,
-                              best_coefficients, estimate_constant,
-                              evaluate_witness, greedy_set,
+from greedylab.greedy import (CONSTANT_NAMES, EXTRA_OFFSUPPORT, GreedyError,
+                              PropertyConfig, SearchSpec, TheoremSuiteSpec,
+                              _cut_lp, _one_cut_bound, _ratio,
+                              _sampled_configs, _SampleMemo,
+                              almost_greedy_error, best_coefficients,
+                              estimate_constant, evaluate_witness,
+                              family_members_within, greedy_set,
                               grid_best_coefficients, property_A_check,
                               sigma_m, theorem_suite)
 from greedylab.norms import NormDomainError
@@ -263,6 +265,102 @@ def test_cut_lp_matches_fraction_reference(data):
     width = abs(data.draw(entry))
     t, d = _exact_lp(cuts, width)
     assert (t, d) == reference_cut_lp(cuts, width)
+
+
+# the spaces of test_norming_functionals, each with its top index
+SPACES_TOPS = [("james:a=1", 16), ("james:a=2", 16), ("kt:N=8", 15),
+               ("ktsum:c0", 40), ("ktsum:l2", 40), ("parity", 20),
+               ("schreier:a=1", 20), ("schreier:a=2", 20), ("walpha:a=1", 40),
+               ("walpha:a=0", 20)]
+
+
+def _payloads(top, max_size):
+    floats = st.integers(-10 ** 6, 10 ** 6).map(lambda k: k / 10 ** 6)
+    exact = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    return st.sampled_from((floats, exact)).flatmap(
+        lambda coeffs: st.dictionaries(st.integers(1, top), coeffs, min_size=1,
+                                       max_size=max_size).map(SparseVector))
+
+
+@pytest.mark.parametrize("descriptor, top", SPACES_TOPS)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_norm_dominates_sup_norm(descriptor, top, data):
+    # the premise of sigma_m's skip: a support's error is at least the
+    # largest modulus it leaves
+    oracle = make_space(descriptor)
+    wide = st.floats(-1e300, 1e300, allow_nan=False).filter(bool)
+    x = data.draw(st.one_of(_payloads(top, 8), st.dictionaries(
+        st.integers(1, top), wide, min_size=1, max_size=8).map(SparseVector)))
+    value, top = oracle.norm(x), x.inf_norm()
+    # the Euclidean spaces give floats on exact payloads, and then dominate
+    # the sup norm rounded to a float: enough, as the skip's cutoff is a float
+    assert value >= (float(top) if isinstance(value, float) else top)
+
+
+def _plain_sigma(x, m, oracle, family):
+    # sigma_m without its memo and skip: every member solved, in order
+    pool = list(x.support)
+    if oracle.certified.get("Ks") != 1:
+        unused = (i for i in range(1, oracle.dimension_cap + 1) if i not in x.entries)
+        pool += [next(unused) for _ in range(EXTRA_OFFSUPPORT)]
+    best = (oracle.norm(x), (), {}, True)
+    for A in family_members_within(family, pool, m)[1:]:
+        value, coeffs, converged = best_coefficients(x, A, oracle)
+        if value < best[0] - 1e-15 * min(1, best[0]):
+            best = (value, A, coeffs, converged)
+    return best
+
+
+def _plain_almost_greedy(x, m, oracle, family):
+    best = (oracle.norm(x), ())
+    for A in family_members_within(family, x.support, m)[1:]:
+        value = oracle.norm(x.drop(A))
+        if value < best[0] - 1e-15 * min(1, best[0]):
+            best = (value, A)
+    return best
+
+
+@pytest.mark.parametrize("descriptor, top", SPACES_TOPS)
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_memoised_pruned_sigma_matches_plain_enumeration(descriptor, top, data):
+    # one memo over two samples, as an estimator uses it, each for m = 1..3
+    oracle = make_space(descriptor)
+    memo = _SampleMemo(oracle)
+    for x in (data.draw(_payloads(top, 5)), data.draw(_payloads(top, 5))):
+        for m in (1, 2, 3):
+            got = sigma_m(x, m, oracle, S1, memo)
+            want = _plain_sigma(x, m, oracle, S1)
+            assert (got.value, got.support, got.coefficients, got.converged) == want
+            assert type(got.value) is type(want[0])
+            assert (almost_greedy_error(x, m, oracle, S1, memo)
+                    == _plain_almost_greedy(x, m, oracle, S1))
+
+
+def test_sigma_m_margin_is_relative_below_one():
+    # an absolute margin of 1e-15 let no support beat the empty one below
+    # norm 1e-15
+    kt = make_space("kt:N=8")
+    x = SparseVector({2: 5e-324, 9: 1e-320})
+    best = sigma_m(x, 1, kt, S1)
+    assert (best.support, best.value) == ((9,), 5e-324)
+    assert best.value == best_coefficients(x, (9,), kt)[0]
+    assert almost_greedy_error(x, 1, kt, S1) == (kt.norm(x.drop((9,))), (9,))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_cut_closed_form_matches_the_lp(data):
+    # a negative b, or g <= 0 throughout, exercises the clamp at t = 0
+    k = data.draw(st.integers(1, 4))
+    entry = data.draw(st.sampled_from(_LP_ENTRIES))
+    g = data.draw(st.tuples(*[entry] * k))
+    if data.draw(st.booleans()):
+        g = tuple(-abs(v) for v in g)
+    b, width = data.draw(entry), abs(data.draw(entry))
+    t = _one_cut_bound((g, b), width)
+    assert type(t) is Fraction and t == _exact_lp([(g, b)], width)[0]
 
 
 @pytest.mark.parametrize("entries", [{2: 5e-324, 9: 1e-320},
