@@ -30,8 +30,3 @@ def support_budget() -> int:
 def node_budget() -> int:
     """Node cap for combinatorial searches; scales with the support knob."""
     return 20 * support_budget()
-
-
-def james_ops_budget() -> int:
-    """Operation cap for the interval-system dynamic program."""
-    return 60 * support_budget()

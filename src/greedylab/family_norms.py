@@ -4,6 +4,8 @@ Three evaluators live here: the family sup norm (best weighted member of a
 level-alpha family), the interval-system norm whose interval minima must form
 a relaxed-family member, and the weighted truncated norm driven by a generated
 family of weight blocks.  All three are exact when fed int/Fraction payloads.
+The first two share one driver, `_exact`, which scales the payload to ints and
+divides the optimum, or a refusal's attained value, back into its units.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import accumulate, combinations, product
 from math import lcm
 from operator import sub
 
-from .config import BudgetExceeded, james_ops_budget, node_budget
+from .config import BudgetExceeded, node_budget
 from .ordinals import ONE, Ordinal, fundamental_term
 from .schreier import FamilyError, _max_prefix, f_alpha_member, schreier_member
 from .vectors import SparseVector
@@ -42,6 +44,22 @@ def _divided(out, D, want_witness=False):
     if D is None:
         return out
     return (Fraction(out[0], D), out[1]) if want_witness else Fraction(out, D)
+
+
+def _exact(solve, x, alpha, max_cells, want_witness):
+    """0 on the zero vector, else solve(entries, alpha, max_cells,
+    want_witness) on x's payload scaled to ints and the optimum divided back;
+    a refusal's attained value is divided back too and named in its message."""
+    if not x.entries:
+        return (0, ()) if want_witness else 0
+    entries, D = _as_ints(x.entries)
+    try:
+        out = solve(entries, alpha, max_cells, want_witness)
+    except BudgetExceeded as exc:
+        held = _divided(exc.attained, D)
+        raise BudgetExceeded(f"{exc} (greedy member attains {held})",
+                             attained=held) from None
+    return _divided(out, D, want_witness)
 
 
 # ---------------------------------------------------------------------------
@@ -111,19 +129,17 @@ class _WindowDP:
 
     Every table entry and every candidate of a max is one cell; the DP
     raises BudgetExceeded, carrying the sum of the greedy-maximal member
-    from the first position (over D, for values scaled by D), rather than
-    pass `max_cells`, which defaults to `node_budget()` once the first cell
-    is spent.
+    from the first position, rather than pass `max_cells`, which defaults to
+    `node_budget()` once the first cell is spent.
     """
 
-    def __init__(self, values, alpha, max_cells, D, signed=None):
+    def __init__(self, values, alpha, max_cells, signed=None):
         self.idxs = tuple(i for i, _ in values)
         self.vals = [v for _, v in values]
         self.ps = list(accumulate(self.vals, initial=0))
         self.sp = None if signed is None else list(accumulate(signed, initial=0))
         self.alpha = alpha
         self.max_cells = max_cells
-        self.D = D
         self.cells = 0
         self._reach = {}
         self._rows = {}
@@ -151,12 +167,8 @@ class _WindowDP:
         if self.max_cells is None:
             self.max_cells = node_budget()
         if self.cells + cells > self.max_cells:
-            held = _divided(self.ps[self.reach(self.alpha, 0)], self.D)
-            raise BudgetExceeded(
-                f"window DP would exceed {self.max_cells} cells "
-                f"(greedy member attains {held})",
-                attained=held,
-            )
+            raise BudgetExceeded(f"window DP would exceed {self.max_cells} cells",
+                                 attained=self.ps[self.reach(self.alpha, 0)])
         self.cells += cells
 
     def best(self, level, s, r):
@@ -274,19 +286,22 @@ class _Row:
         self.cols = [None] * r + [(0,)]
 
 
-def _family_best(values, alpha, max_cells, want_witness, D):
-    """Exact optimum at a level >= 2 by the window DP, with its witness.
-
-    The only member containing 1 is {1}, so index 1 is compared with the
-    optimum over the rest of the support.  D is the scale of the values,
-    None when unscaled.
+def _sup_best(entries, alpha, max_cells, want_witness):
+    """Exact family sup norm, with the member attaining it: the level-1 heap
+    scan, the largest modulus at level 0, else the window DP.  The only
+    member holding index 1 is {1}, so the DP runs on the rest, which is often
+    a member itself and needs no table, and 1 is compared with its optimum.
     """
-    head = None
-    if values[0][0] == 1:
-        head, values = values[0][1], values[1:]
+    values = [(i, abs(v)) for i, v in entries.items()]
+    if alpha == ONE:
+        return _s1_best(values, want_witness)
+    if alpha.is_zero:
+        i, best = max(values, key=lambda t: t[1])
+        return (best, (i,)) if want_witness else best
+    head = values.pop(0)[1] if values[0][0] == 1 else None
     best, wit = 0, ()
     if values:
-        dp = _WindowDP(values, alpha, max_cells, D)
+        dp = _WindowDP(values, alpha, max_cells)
         best = dp.best(alpha, 0, len(values))
         if want_witness:
             wit = dp.witness(alpha, 0, len(values))
@@ -299,20 +314,11 @@ def schreier_alpha_norm(x: SparseVector, alpha: Ordinal, max_nodes=None,
                         want_witness=False):
     """sup of sum_{n in F} |x_n| over level-alpha members F; exact.
 
-    Exhausted search budgets raise instead of silently approximating.
+    `max_nodes` bounds the window DP's cells at levels >= 2 (default
+    `node_budget()`); the level-0 and level-1 scans are linear and spend
+    none.  Exhausted search budgets raise instead of silently approximating.
     """
-    entries, D = _as_ints(x.entries)
-    values = [(i, abs(v)) for i, v in entries.items()]
-    if not values:
-        return (0, ()) if want_witness else 0
-    if alpha == ONE:
-        out = _s1_best(values, want_witness)
-    elif alpha.is_zero:
-        i, best = max(values, key=lambda t: t[1])
-        out = (best, (i,)) if want_witness else best
-    else:
-        out = _family_best(values, alpha, max_nodes, want_witness, D)
-    return _divided(out, D, want_witness)
+    return _exact(_sup_best, x, alpha, max_nodes, want_witness)
 
 
 def sup_functional(x: SparseVector, alpha: Ordinal):
@@ -343,7 +349,7 @@ def naive_schreier_norm(x: SparseVector, alpha: Ordinal):
 # ---------------------------------------------------------------------------
 
 
-def _james_dp_level1(support, coeffs, want_witness=False):
+def _james_dp_level1(support, coeffs, max_cells, want_witness):
     """Exact interval-system optimum when minima only need size <= 2*min.
 
     Minima may be restricted to support points: sliding an interval's start
@@ -358,18 +364,19 @@ def _james_dp_level1(support, coeffs, want_witness=False):
 
     taken from running suffix maxima of +-ps[q] + F[t-1][q].  The first
     minimum caps the chain length, so the optimum is max_i S[tcaps[i]][i].
+    The n * tmax cells come from `max_cells` (default `node_budget()`); a
+    refusal carries the relaxed family's greedy member, the first 2*min points.
     """
     n = len(support)
-    if n == 0:
-        return (0, ()) if want_witness else 0
     ps = list(accumulate(coeffs, initial=0))
     tcaps = [min(2 * support[i], n - i) for i in range(n)]
     tmax = max(tcaps)
-    est_ops = n * tmax
-    if est_ops > james_ops_budget():
+    if max_cells is None:
+        max_cells = node_budget()
+    if n * tmax > max_cells:
         raise BudgetExceeded(
-            f"interval-system DP needs ~{est_ops} operations, over budget"
-        )
+            f"interval-system DP needs {n * tmax} cells, over {max_cells}",
+            attained=sum(map(abs, coeffs[:2 * support[0]])))
 
     capped = [0] * n
     F = [0] * (n + 1)
@@ -419,30 +426,36 @@ def _james_dp_level1(support, coeffs, want_witness=False):
     return best, tuple(minima)
 
 
-def _interval_best(support, coeffs, alpha, max_cells, want_witness, D=None):
+def _interval_best(support, coeffs, alpha, max_cells, want_witness):
     """Exact interval-system optimum by the window DP, with the minima chain
-    that attains it; D is the scale of coeffs, None when unscaled."""
+    that attains it."""
     n = len(support)
     if n == 0:
         return (0, ()) if want_witness else 0
-    dp = _WindowDP(list(zip(support, map(abs, coeffs))), alpha, max_cells, D,
+    dp = _WindowDP(list(zip(support, map(abs, coeffs))), alpha, max_cells,
                    signed=coeffs)
     best = dp.best(alpha, 0, n)
     return (best, dp.witness(alpha, 0, n)) if want_witness else best
 
 
-def jamesification_norm(x: SparseVector, alpha: Ordinal = ONE, max_nodes=None,
-                        want_witness=False):
-    """Interval-system norm at a successor level; exact for exact payloads."""
-    if not alpha.is_successor:
-        raise FamilyError(f"interval-system norm needs a successor level, got {alpha}")
-    entries, D = _as_ints(x.entries)
+def _interval_norm(entries, alpha, max_cells, want_witness):
     support, coeffs = list(entries), list(entries.values())
     if alpha == ONE:
-        out = _james_dp_level1(support, coeffs, want_witness=want_witness)
-    else:
-        out = _interval_best(support, coeffs, alpha, max_nodes, want_witness, D)
-    return _divided(out, D, want_witness)
+        return _james_dp_level1(support, coeffs, max_cells, want_witness)
+    return _interval_best(support, coeffs, alpha, max_cells, want_witness)
+
+
+def jamesification_norm(x: SparseVector, alpha: Ordinal = ONE, max_nodes=None,
+                        want_witness=False):
+    """Interval-system norm at a successor level; exact for exact payloads.
+
+    `max_nodes` bounds the DP cells (default `node_budget()`): the n * T
+    cells of the level-1 interval DP (n points, chains of at most T
+    intervals), else the window DP's.  Exhausted budgets raise.
+    """
+    if not alpha.is_successor:
+        raise FamilyError(f"interval-system norm needs a successor level, got {alpha}")
+    return _exact(_interval_norm, x, alpha, max_nodes, want_witness)
 
 
 def interval_functional(x: SparseVector, alpha: Ordinal = ONE):

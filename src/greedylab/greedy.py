@@ -8,9 +8,10 @@ planes on norming functionals, each LP solved by an integer-preserving
 form and ends the search when it already closes the gap.  Candidate supports
 lie in the support of x, plus the EXTRA_OFFSUPPORT smallest unused indices
 where the suppression constant is not 1 (an off-support index cannot lower a
-projection error).  A support is skipped unsolved when the largest modulus it
+projection error).  One loop, `_best_support`, searches both errors (sigma_m,
+almost_greedy_error): it skips a support unsolved when the largest modulus it
 leaves, a lower bound on its error since every norm here dominates the sup
-norm, cannot beat the best so far; and a per-sample memo solves each support
+norm, cannot beat the best so far, and a per-sample memo solves each support
 once for all the orders m of one sampled vector.  Each constant's defining
 ratio is written once, in `_ratio`: the estimators maximize it into certified
 lower bounds, and their witnesses replay through it.
@@ -298,9 +299,10 @@ class ApproximationResult:
 
 class _SampleMemo:
     """One sampled vector's work, shared by its configurations (one per order
-    m) and keyed on the vector's identity: ||x||, and each support's error as
-    best_coefficients returns it (`fitted`) or as ||x.drop(A)|| (`dropped`).
-    Holds one vector at a time, for one oracle."""
+    m) and keyed on the vector's identity: ||x||, and in `errors` each
+    support's error result keyed on (A, free), as best_coefficients returns
+    it when the coefficients on A are free, else as (||x.drop(A)||,).  Holds
+    one vector at a time, for one oracle."""
 
     def __init__(self, oracle):
         self.oracle = oracle
@@ -309,7 +311,7 @@ class _SampleMemo:
     def at(self, x):
         if x is not self.x:
             self.x, self._norm, self._ranked = x, None, None
-            self.fitted, self.dropped = {}, {}
+            self.errors = {}
         return self
 
     def norm(self):
@@ -334,57 +336,52 @@ def _cutoff(best):
     return best - 1e-15 * min(1, best)
 
 
-def sigma_m(x: SparseVector, m: int, oracle, family, memo=None) -> ApproximationResult:
-    """Best m-term error over the family with free coefficients.
+def _best_support(x, m, oracle, family, memo, free):
+    """The first support A of least error among the empty set and the family
+    members of size <= m, as (A, error result): best_coefficients(x, A) when
+    the coefficients on A are free, else (||x.drop(A)||,).
 
-    Candidate supports are family members of size <= m inside the support of
-    x.  Unless the space declares a suppression constant of 1 the pool also
-    holds the EXTRA_OFFSUPPORT smallest unused indices (a recorded
-    computational compromise); with that constant a support's error is
-    ||x.drop(A)||, which an off-support index cannot lower.  The empty
-    support is always admissible, and the first support of least error wins.
-    A support is solved only if the sup-norm bound max_{n not in A} |x_n|
-    lets it beat the best so far, and at most once per `memo` (a _SampleMemo
-    of this oracle), which the orders m of one sampled x share.
+    Candidates lie inside the support of x.  With free coefficients, unless
+    the space declares a suppression constant of 1, the pool also holds the
+    EXTRA_OFFSUPPORT smallest unused indices (a recorded computational
+    compromise); an off-support index cannot lower a projection error.  A
+    support is solved only if the sup-norm bound max_{n not in A} |x_n| lets
+    it beat the best so far, and at most once per `memo` (a _SampleMemo of
+    this oracle), which the orders m of one sampled x share.
     """
     _enumeration_guard(x, m)
     memo = (memo or _SampleMemo(oracle)).at(x)
     pool = list(x.support)
-    if oracle.certified.get("Ks") != 1:
+    if free and oracle.certified.get("Ks") != 1:
         unused = (i for i in range(1, oracle.dimension_cap + 1) if i not in x.entries)
         pool += islice(unused, EXTRA_OFFSUPPORT)
-    best = ApproximationResult(memo.norm(), (), {}, True)
-    cutoff = _cutoff(best.value)
+    best = ((), (memo.norm(), {}, True) if free else (memo.norm(),))
+    cutoff = _cutoff(memo.norm())
     for A in family_members_within(family, pool, m)[1:]:
         if memo.off_max(A) >= cutoff:
             continue
-        if A not in memo.fitted:
-            memo.fitted[A] = best_coefficients(x, A, oracle)
-        value, coeffs, converged = memo.fitted[A]
-        if value < cutoff:
-            best = ApproximationResult(value, A, coeffs, converged)
-            cutoff = _cutoff(value)
+        error = memo.errors.get((A, free))
+        if error is None:
+            error = memo.errors[A, free] = (best_coefficients(x, A, oracle) if free
+                                            else (oracle.norm(x.drop(A)),))
+        if error[0] < cutoff:
+            best = (A, error)
+            cutoff = _cutoff(error[0])
     return best
+
+
+def sigma_m(x: SparseVector, m: int, oracle, family, memo=None) -> ApproximationResult:
+    """Best m-term error over the family with free coefficients (see
+    _best_support); the empty support is always admissible."""
+    A, (value, coeffs, converged) = _best_support(x, m, oracle, family, memo, True)
+    return ApproximationResult(value, A, coeffs, converged)
 
 
 def almost_greedy_error(x: SparseVector, m: int, oracle, family, memo=None):
-    """Best m-term projection error over the family; exact minimum by
-    enumeration (off-support indices never help a projection), pruned and
-    memoised as in sigma_m."""
-    _enumeration_guard(x, m)
-    memo = (memo or _SampleMemo(oracle)).at(x)
-    best = (memo.norm(), ())
-    cutoff = _cutoff(best[0])
-    for A in family_members_within(family, x.support, m)[1:]:
-        if memo.off_max(A) >= cutoff:
-            continue
-        if A not in memo.dropped:
-            memo.dropped[A] = oracle.norm(x.drop(A))
-        value = memo.dropped[A]
-        if value < cutoff:
-            best = (value, A)
-            cutoff = _cutoff(value)
-    return best
+    """Best m-term projection error over the family, as (error, support);
+    exact minimum by enumeration (see _best_support)."""
+    A, (value,) = _best_support(x, m, oracle, family, memo, False)
+    return value, A
 
 
 # ---------------------------------------------------------------------------
@@ -404,16 +401,7 @@ class SearchSpec:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "samples": self.samples,
-            "support_cap": self.support_cap,
-            "index_range": self.index_range,
-            "set_size_cap": self.set_size_cap,
-            "m_cap": self.m_cap,
-            "template": self.template,
-            "extras": dict(sorted(self.extras.items())),
-        }
+        return {**vars(self), "extras": dict(sorted(self.extras.items()))}
 
 
 @dataclass

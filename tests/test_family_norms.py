@@ -134,6 +134,12 @@ def test_exact_budget_errors_carry_unscaled_attained():
     held = sum(Fraction(1, i) for i in range(2, 32))
     assert info.value.attained == held and type(info.value.attained) is Fraction
     assert f"attains {held})" in str(info.value)
+    # level 1: the relaxed family's greedy member is the first 2*2 points
+    with pytest.raises(BudgetExceeded) as info:
+        jamesification_norm(x, ONE, max_nodes=5)
+    held = sum(Fraction(1, i) for i in range(2, 6))
+    assert info.value.attained == held and type(info.value.attained) is Fraction
+    assert f"attains {held})" in str(info.value)
 
 
 def test_exact_payloads_keep_their_type():
@@ -328,6 +334,21 @@ def test_james_budget_error():
     # the greedy-maximal relaxed member from 2 takes the four level-1 blocks
     # {2, 3}, {4..7}, {8..15}, {16..31}
     assert info.value.attained == sum(range(2, 32))
+    # level 1 spends n*T cells from max_nodes too, and refuses with the sum
+    # of |x| over the first 2*min support points
+    for hi in (41, 200):
+        x = SparseVector({i: (-1) ** i * i for i in range(2, hi)})
+        with pytest.raises(BudgetExceeded) as info:
+            jamesification_norm(x, ONE, max_nodes=5)
+        assert info.value.attained == 2 + 3 + 4 + 5
+        assert type(info.value.attained) is int
+        assert "attains 14)" in str(info.value)
+    # n = 6 points from 3: chains hold at most T = min(2*3, 6) = 6 intervals
+    x = SparseVector({i: (-1) ** i * i for i in range(3, 9)})
+    assert jamesification_norm(x, ONE, max_nodes=36) == naive_james_norm(x)
+    with pytest.raises(BudgetExceeded) as info:
+        jamesification_norm(x, ONE, max_nodes=35)
+    assert info.value.attained == sum(range(3, 9))
 
 
 def test_james_level_one_large_support_under_default_budget(monkeypatch):
