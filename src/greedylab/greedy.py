@@ -3,9 +3,11 @@
 Greedy sets pick the largest coefficient moduli; the best m-term error over a
 family minimizes over admissible supports with free coefficients, exactly: the
 projection error where the suppression constant is 1, else Kelley's cutting
-planes on norming functionals, each LP solved by an integer-preserving
-(fraction-free) simplex, except that the first cut's LP optimum has a closed
-form and ends the search when it already closes the gap.  Candidate supports
+planes on norming functionals, run on Python ints (the payload over one
+denominator, each cut over its functional's), each LP solved by an
+integer-preserving (fraction-free) simplex, except that the first cut's LP
+optimum has a closed form and ends the search when it already closes the
+gap.  Candidate supports
 lie in the support of x, plus the EXTRA_OFFSUPPORT smallest unused indices
 where the suppression constant is not 1 (an off-support index cannot lower a
 projection error).  One loop, `_best_support`, searches both errors (sigma_m,
@@ -137,39 +139,44 @@ def family_members_within(family, pool, size_cap: int):
 
 def _cut_lp(cuts, width):
     """Exact minimum of t over t >= 0, 0 <= d_n <= width and the cuts
-    t + sum_n g_n d_n >= b, given as pairs (g, b) of Fractions; returns (t, d)
-    in Fractions.
+    e t + sum_n g_n d_n >= b, given as int triples (e, g, b) with e > 0, and
+    an int width; returns (t, d, det), the optimum being t / det and d / det.
 
     Bland-rule simplex on the dual, max sum_j b_j l_j - width sum_n u_n over
-    l, u >= 0 with sum_j l_j <= 1 and sum_j g_jn l_j <= u_n, whose origin is
-    a feasible basis; (t, d) is minus the final reduced costs of the slacks.
-    The tableau is scaled once to integers by D, the lcm of the denominators
-    of the cuts and of width, and pivoted fraction-free (Bareiss, Edmonds):
-    each row is det times its Gauss-Jordan row, where det, the previous pivot
-    (1 at first), is |det P| for the submatrix P on the pivoted rows and their
-    basic columns.  Those rows are adj(P) times integer rows, the others det P
-    times Schur complements, so v*p - f*q is a multiple of det and the floor
-    division exact.  Pivots are positive: signs and ratios are the true ones.
+    l, u >= 0 with sum_j e_j l_j <= 1 and sum_j g_jn l_j <= u_n, whose origin
+    is a feasible basis; (t, d) is minus the final reduced costs of the slacks.
+    Scaling a cut by a positive factor scales its dual column, which changes
+    no sign and no ratio of the ratio test, so the pivots are those of the
+    cut with e = 1.  The integer tableau is pivoted fraction-free (Bareiss,
+    Edmonds): each row is det times its Gauss-Jordan row, where det, the
+    previous pivot (1 at first), is |det P| for the submatrix P on the
+    pivoted rows and their basic columns.  Those rows are adj(P) times integer
+    rows, the others det P times Schur complements, so v*p - f*q is a multiple
+    of det and the floor division exact.  Pivots are positive: signs and
+    ratios are the true ones, and the ratio test compares them by
+    cross-multiplication.
     """
-    J, k = len(cuts), len(cuts[0][0])
+    J, k = len(cuts), len(cuts[0][1])
     slack = J + k
-    D = math.lcm(width.denominator, *(v.denominator for g, b in cuts for v in (*g, b)))
-    rows = [[D if r == 0 else g[r - 1].numerator * D // g[r - 1].denominator
-             for g, _ in cuts] + [-D * (m == r - 1) for m in range(k)]
-            + [D * (s == r) for s in range(k + 1)] + [D * (r == 0)]
-            for r in range(k + 1)]
-    obj = ([b.numerator * D // b.denominator for _, b in cuts]
-           + [-width.numerator * D // width.denominator] * k + [0] * (k + 2))
+    rows = [[e for e, _, _ in cuts] + [0] * k + [1] + [0] * k + [1]]
+    rows += [[g[r] for _, g, _ in cuts] + [-int(m == r) for m in range(k)]
+             + [int(s == r + 1) for s in range(k + 1)] + [0] for r in range(k)]
+    obj = [b for _, _, b in cuts] + [-width] * k + [0] * (k + 2)
     basis = list(range(slack, slack + k + 1))
     det = 1
     while True:
         enter = next((j for j in range(slack + k + 1) if obj[j] > 0), None)
         if enter is None:
-            t, *d = (Fraction(-v, det * D) for v in obj[slack:-1])
-            return t, d
-        # the primal is feasible, so the dual is bounded and a row qualifies
-        _, _, r = min((Fraction(row[-1], row[enter]), basis[i], i)
-                      for i, row in enumerate(rows) if row[enter] > 0)
+            t, *d = (-v for v in obj[slack:-1])
+            return t, d, det
+        # the primal is feasible, so the dual is bounded and a row qualifies;
+        # the least ratio row[-1] / row[enter], ties to the least basic column
+        r = None
+        for i, row in enumerate(rows):
+            p = row[enter]
+            if p > 0 and (r is None or row[-1] * den < num * p
+                          or row[-1] * den == num * p and basis[i] < basis[r]):
+                r, num, den = i, row[-1], p
         pivot, p = rows[r], rows[r][enter]
         for row in rows + [obj]:
             if row is not pivot:
@@ -181,10 +188,28 @@ def _cut_lp(cuts, width):
 
 
 def _one_cut_bound(cut, width):
-    """`_cut_lp([cut], width)[0]` in closed form: one cut (g, b) leaves
-    t = max(0, b - width * sum of the positive g_n)."""
-    g, b = cut
-    return max(Fraction(0), b - width * sum(v for v in g if v > 0))
+    """`_cut_lp([cut], width)`'s optimal t in closed form, as (numerator,
+    denominator): one cut (e, g, b) leaves t = max(0, b - width * sum of the
+    positive g_n) / e."""
+    e, g, b = cut
+    return max(0, b - width * sum(v for v in g if v > 0)), e
+
+
+def _over_one_denominator(values):
+    """The values (ints, floats or Fractions) as ints over their least common
+    denominator: (numerators, denominator).  Float denominators are powers of
+    two."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
+
+
+def _gap_closed(best, num, den):
+    """Whether best - num/den <= GAP_TOL * max(1, best): in floats, after
+    rounding the bound to a float, when best is a float, and exactly when it
+    is exact."""
+    bound = num / den if isinstance(best, float) else Fraction(num, den)
+    return best - bound <= GAP_TOL * max(1, best)
 
 
 def best_coefficients(x: SparseVector, support, oracle):
@@ -193,22 +218,26 @@ def best_coefficients(x: SparseVector, support, oracle):
     With a suppression constant of 1 it is ||P_{A^c} x||, at c = x_A.  Else
     Kelley's cutting planes: the norming functional f of each residual gives
     the cut t >= f(x) - sum_n c_n f(e_n); with the box |c_n - x_n| <=
-    ||P_{A^c} x|| (which holds every minimiser, as the norm dominates the sup
-    norm) the cuts make an LP whose exact optimum is a lower bound.  It stops
-    at a repeated cut (exact on a polyhedral norm) or a gap within GAP_TOL,
-    and is unconverged after KELLEY_MAX_CUTS cuts.  Returns (value,
-    coefficients dict, converged flag): the value is the norm at the
-    coefficients, floats for float payloads and exact otherwise.  A residual
-    norm past the float range raises NormDomainError.
+    ||P_{A^c} x|| = r (which holds every minimiser, as the norm dominates the
+    sup norm) the cuts make an LP whose exact optimum is a lower bound.  The
+    loop runs on ints: x and r over one denominator D, so that t and the box
+    offsets d = c - x_A + r are D times their true values, and each cut over
+    its functional's denominator, divided by its gcd so that a repeated cut
+    compares equal.  It stops at a repeated cut (exact on a polyhedral norm)
+    or a gap within GAP_TOL, and is unconverged after KELLEY_MAX_CUTS cuts.
+    Returns (value, coefficients dict, converged flag): the value is the norm
+    at the coefficients, floats for float payloads (one correctly rounded
+    division each) and exact otherwise.  A residual norm past the float range
+    raises NormDomainError.
     """
     support = tuple(sorted(support))
     if not support:
         return oracle.norm(x), {}, True
     if oracle.certified.get("Ks") == 1:
         return oracle.norm(x.drop(support)), {n: x.get(n) for n in support}, True
-    real = float if x.has_float_payload() else Fraction
+    exact = not x.has_float_payload()
     coeffs = [x.get(n) for n in support]
-    rest = x.drop(support).items()
+    rest = x.drop(support).entries
     cuts = []
     best = (math.inf, None)
     converged = True
@@ -217,23 +246,30 @@ def best_coefficients(x: SparseVector, support, oracle):
         if value == math.inf:
             raise NormDomainError(f"residual norm on support {support} overflows floats")
         if not cuts:
-            # c = low + d, low = x_A - r: 0 <= d <= 2r, b = f(x.drop(A)) + r sum g
-            r = Fraction(value)
-            low = [Fraction(c) - r for c in coeffs]
+            # c = (low + d) / D with 0 <= d <= 2r: b = f(x.drop(A)) + r sum g
+            (r, *xs), D = _over_one_denominator([value, *coeffs, *rest.values()])
+            low = [v - r for v in xs[:len(support)]]
+            xs_rest = xs[len(support):]
         if value < best[0]:
             best = (value, coeffs)
-        g = tuple(Fraction(f.get(n)) for n in support)
-        cut = (g, sum(Fraction(f.get(i)) * Fraction(v) for i, v in rest) + r * sum(g))
+        fs, e = _over_one_denominator([f.get(n) for n in chain(support, rest)])
+        g = fs[:len(support)]
+        b = sum(v * w for v, w in zip(fs[len(support):], xs_rest)) + r * sum(g)
+        h = math.gcd(e, b, *g)
+        cut = (e // h, tuple(v // h for v in g), b // h)
         if cut in cuts:
             break
         cuts.append(cut)
-        tol = GAP_TOL * max(1, best[0])
-        if len(cuts) == 1 and best[0] - _one_cut_bound(cut, 2 * r) <= tol:
+        if len(cuts) == 1:
+            num, den = _one_cut_bound(cut, 2 * r)
+            if _gap_closed(best[0], num, den * D):
+                break
+        t, d, det = _cut_lp(cuts, 2 * r)
+        den = det * D
+        if _gap_closed(best[0], t, den):
             break
-        bound, d = _cut_lp(cuts, 2 * r)
-        if best[0] - bound <= tol:
-            break
-        coeffs = [real(lo + dn) for lo, dn in zip(low, d)]
+        coeffs = [Fraction(lo * det + v, den) if exact else (lo * det + v) / den
+                  for lo, v in zip(low, d)]
     else:
         converged = False
     value, coeffs = best

@@ -1,23 +1,26 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greedylab.greedy import (CONSTANT_NAMES, EXTRA_OFFSUPPORT, GreedyError,
-                              PropertyConfig, SearchSpec, TheoremSuiteSpec,
-                              _cut_lp, _one_cut_bound, _ratio,
-                              _sampled_configs, _SampleMemo,
+from greedylab.greedy import (CONSTANT_NAMES, EXTRA_OFFSUPPORT, GAP_TOL,
+                              KELLEY_MAX_CUTS, GreedyError, PropertyConfig,
+                              SearchSpec, TheoremSuiteSpec, _cut_lp,
+                              _gap_closed, _one_cut_bound, _random_vector,
+                              _ratio, _sampled_configs, _SampleMemo,
                               almost_greedy_error, best_coefficients,
                               estimate_constant, evaluate_witness,
                               family_members_within, greedy_set,
                               grid_best_coefficients, property_A_check,
                               sigma_m, theorem_suite)
-from greedylab.norms import NormDomainError
+from greedylab.norms import NormDomainError, NormOracle
 from greedylab.schreier import FamilyHandle
 from greedylab.spaces import make_space
 from greedylab.vectors import SparseVector
@@ -196,11 +199,26 @@ def test_projection_matches_cutting_planes(descriptor):
         assert converged and value == best_coefficients(x, A, projected)[0]
 
 
+def _int_cuts(cuts, width):
+    """Fraction cuts t + g.d >= b and width as `_cut_lp` takes them: t, d and
+    the width scaled by D, the lcm of the denominators of the b's and the
+    width, and each cut by the lcm of its own denominators; returns the int
+    cuts, the int width and D."""
+    D = math.lcm(width.denominator, *(b.denominator for _, b in cuts))
+    out = []
+    for g, b in cuts:
+        e = math.lcm((D * b).denominator, *(v.denominator for v in g))
+        out.append((e, tuple(int(e * v) for v in g), int(e * D * b)))
+    return out, int(D * width), D
+
+
 def _exact_lp(cuts, width):
+    """`_cut_lp` on Fraction cuts (g, b) and width, as Fractions (t, d)."""
+    int_cuts, int_width, D = _int_cuts(cuts, width)
+    t, d, det = _cut_lp(int_cuts, int_width)
     # == alone would pass on floats (0.5 == Fraction(1, 2))
-    t, d = _cut_lp(cuts, width)
-    assert type(t) is Fraction and all(type(v) is Fraction for v in d)
-    return t, d
+    assert all(type(v) is int for v in (t, *d, det)) and det > 0
+    return Fraction(t, det * D), [Fraction(v, det * D) for v in d]
 
 
 def test_cut_lp_degenerate_exact():
@@ -242,6 +260,49 @@ def reference_cut_lp(cuts, width):
         basis[r] = enter
 
 
+def reference_best_coefficients(x, support, oracle):
+    """`best_coefficients` as Kelley's loop on Fraction cuts (g, b), each LP
+    solved by reference_cut_lp and the first cut's in closed form."""
+    support = tuple(sorted(support))
+    if not support:
+        return oracle.norm(x), {}, True
+    if oracle.certified.get("Ks") == 1:
+        return oracle.norm(x.drop(support)), {n: x.get(n) for n in support}, True
+    real = float if x.has_float_payload() else Fraction
+    coeffs = [x.get(n) for n in support]
+    rest = x.drop(support).items()
+    cuts = []
+    best = (math.inf, None)
+    converged = True
+    for _ in range(KELLEY_MAX_CUTS):
+        value, f = oracle.norm(x - SparseVector(dict(zip(support, coeffs))), True)
+        if value == math.inf:
+            raise NormDomainError(f"residual norm on support {support} overflows floats")
+        if not cuts:
+            # c = low + d, low = x_A - r: 0 <= d <= 2r, b = f(x.drop(A)) + r sum g
+            r = Fraction(value)
+            low = [Fraction(c) - r for c in coeffs]
+        if value < best[0]:
+            best = (value, coeffs)
+        g = tuple(Fraction(f.get(n)) for n in support)
+        cut = (g, sum(Fraction(f.get(i)) * Fraction(v) for i, v in rest) + r * sum(g))
+        if cut in cuts:
+            break
+        cuts.append(cut)
+        tol = GAP_TOL * max(1, best[0])
+        one_cut = max(Fraction(0), cut[1] - 2 * r * sum(v for v in g if v > 0))
+        if len(cuts) == 1 and best[0] - one_cut <= tol:
+            break
+        bound, d = reference_cut_lp(cuts, 2 * r)
+        if best[0] - bound <= tol:
+            break
+        coeffs = [real(lo + dn) for lo, dn in zip(low, d)]
+    else:
+        converged = False
+    value, coeffs = best
+    return value, dict(zip(support, coeffs)), converged
+
+
 _LP_ENTRIES = (st.integers(-6, 6).map(Fraction),
                st.floats(-8, 8, allow_nan=False).map(Fraction),
                st.fractions(-6, 6, max_denominator=24))
@@ -280,6 +341,74 @@ def _payloads(top, max_size):
     return st.sampled_from((floats, exact)).flatmap(
         lambda coeffs: st.dictionaries(st.integers(1, top), coeffs, min_size=1,
                                        max_size=max_size).map(SparseVector))
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except NormDomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("descriptor, top", SPACES_TOPS)
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_best_coefficients_matches_fraction_reference(descriptor, top, data):
+    # the integer loop against the Fraction one: same value, coefficients and
+    # flag, of the same types; spaces with a suppression constant of 1 also
+    # run Kelley's method with that certificate withheld
+    oracle = make_space(descriptor)
+    # the first cut closes the gap unless the functional straddles A, which
+    # takes several points: x as the estimators sample it, as is, spread over
+    # a wide range of exponents (subnormals included) or made exact
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    x = _random_vector(rng, SearchSpec(index_range=top), oracle.dimension_cap)
+    kind = data.draw(st.sampled_from(("float", "wide", "exact")))
+    if kind == "wide":
+        x = SparseVector({n: v * 2.0 ** rng.randint(-1070, 1000) for n, v in x.items()})
+    elif kind == "exact":
+        x = SparseVector({n: Fraction(v).limit_denominator(9) for n, v in x.items()})
+    extra = data.draw(st.sets(st.integers(1, top), max_size=2))
+    supports = st.sets(st.sampled_from(x.support + tuple(extra)), min_size=1,
+                       max_size=3)
+    spaces = [oracle] + ([dataclasses.replace(oracle, certified={})]
+                         if oracle.certified.get("Ks") == 1 else [])
+    for A, space in product(data.draw(st.lists(supports, min_size=4, max_size=4)),
+                            spaces):
+        got = _outcome(best_coefficients, x, A, space)
+        want = _outcome(reference_best_coefficients, x, A, space)
+        assert got == want
+        if not isinstance(want, str):
+            assert type(got[0]) is type(want[0])
+            assert [type(v) for v in got[1].values()] == [
+                type(v) for v in want[1].values()]
+
+
+@pytest.mark.parametrize("descriptor, entries, A", [
+    ("kt:N=8", {8: 1.0, 10: 1.0, 11: 1.0, 14: 1.0}, (10,)),
+    ("ktsum:l2", {3: 1.0, 5: -1.0, 13: 1.0, 14: 1.0, 16: 1.0}, (5, 14)),
+])
+def test_best_coefficients_round_once(descriptor, entries, A):
+    # rounding a coefficient's numerator and denominator to floats before
+    # dividing moves the last bit here
+    x, oracle = SparseVector(entries), make_space(descriptor)
+    assert best_coefficients(x, A, oracle) == reference_best_coefficients(x, A, oracle)
+
+
+def test_a_repeated_cut_over_another_denominator_ends_the_loop():
+    # two functionals that make one cut, t + d_1 >= 2, over the denominators
+    # 2 and 4: the cut repeats, so the loop stops after two evaluations
+    def evaluate(z, want_functional=False):
+        calls.append(z)
+        f = {1: 1.0, 2: 0.25, 3: 0.75} if len(calls) % 2 else {1: 1.0, 2: 0.5, 3: 0.5}
+        value = abs(z.get(1)) + abs(z.get(2) + z.get(3)) / 2
+        return (value, SparseVector(f)) if want_functional else value
+
+    oracle = NormOracle("two-denominators", evaluate)
+    x = SparseVector({1: 1.0, 2: 1.0, 3: 1.0})
+    for solve in (reference_best_coefficients, best_coefficients):
+        calls = []
+        assert solve(x, (1,), oracle) == (1.0, {1: 1.0}, True) and len(calls) == 2
 
 
 @pytest.mark.parametrize("descriptor, top", SPACES_TOPS)
@@ -359,8 +488,27 @@ def test_one_cut_closed_form_matches_the_lp(data):
     if data.draw(st.booleans()):
         g = tuple(-abs(v) for v in g)
     b, width = data.draw(entry), abs(data.draw(entry))
-    t = _one_cut_bound((g, b), width)
-    assert type(t) is Fraction and t == _exact_lp([(g, b)], width)[0]
+    [cut], int_width, D = _int_cuts([(g, b)], width)
+    t, den = _one_cut_bound(cut, int_width)
+    assert type(t) is int and Fraction(t, den * D) == _exact_lp([(g, b)], width)[0]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_gap_check_matches_fraction_expression(data):
+    # bounds off by a few parts in 2^k from best - tol, so most are no double
+    # and many sit on either side of the tolerance
+    best = data.draw(st.one_of(
+        st.floats(0, 1e300), st.floats(0, 1e-300), st.fractions(0, 10),
+        st.integers(0, 10 ** 6)))
+    tol = GAP_TOL * max(1, best)
+    offset = Fraction(tol) * Fraction(data.draw(st.integers(-10, 2000)), 1000)
+    fuzz = Fraction(data.draw(st.integers(-3, 3)),
+                    3 * 2 ** data.draw(st.integers(0, 1100)))
+    bound = Fraction(best) - offset + fuzz
+    scale = data.draw(st.integers(1, 7))
+    num, den = bound.numerator * scale, bound.denominator * scale
+    assert _gap_closed(best, num, den) is (best - Fraction(num, den) <= tol)
 
 
 @pytest.mark.parametrize("entries", [{2: 5e-324, 9: 1e-320},
@@ -477,6 +625,21 @@ def test_estimates_and_theorem_reports_golden():
         seed=5, samples=10, sign_sets=4, sign_set_size=4, grid_dim=3))
     digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
     assert digest == GOLDEN_ESTIMATES_SHA256
+
+
+# SHA-256 of the sorted-key JSON below, recorded before σ_m's cutting planes
+# moved from Fractions to scaled ints
+GOLDEN_CLI_CG_SHA256 = (
+    "02029903481272a7da70e582fb1a3326d0af9639479be094a113003c780173a8")
+
+
+def test_cli_sized_cg_estimates_golden():
+    # the CLI default of 200 samples on the two slowest Cg spaces
+    out = {descriptor: estimate_constant("Cg", make_space(descriptor), S1,
+                                         SearchSpec()).to_dict()
+           for descriptor in ("kt:N=32", "james:a=1")}
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_CLI_CG_SHA256
 
 
 def test_james_suppression_constant_is_one():
