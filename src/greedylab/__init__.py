@@ -1,13 +1,11 @@
 """greedylab: thresholding greedy approximation over Schreier-type families."""
 
 from .config import BudgetExceeded
-from .family_norms import (jamesification_norm, naive_james_norm,
-                           naive_schreier_norm, schreier_alpha_norm,
+from .family_norms import (jamesification_norm, schreier_alpha_norm,
                            weighted_schreier_norm)
 from .greedy import (ConstantEstimate, GreedyResult, SearchSpec,
                      almost_greedy_error, best_coefficients, estimate_constant,
-                     greedy_set, grid_best_coefficients, property_A_check,
-                     sigma_m, theorem_suite)
+                     greedy_set, property_A_check, sigma_m, theorem_suite)
 from .norms import (NormOracle, block_sum_norm, kt_block_norm, kt_block_of,
                     kt_global_index, mixed_parity_norm)
 from .ordinals import (OMEGA, ONE, ZERO, Ordinal, OrdinalError, classify,
@@ -19,7 +17,7 @@ from .rah import (GeometricBlock, IndexStream, ShiftedInt, WeightFamily,
 from .schreier import (FamilyError, FamilyHandle, f_alpha_member,
                        f_alpha_split, family_subsets, min_level_find,
                        schreier_decompose, schreier_maximal, schreier_member,
-                       schreier_member_backtracking, tail_shift_find)
+                       tail_shift_find)
 from .spaces import make_space
 from .vectors import SparseVector, VectorError
 

@@ -7,10 +7,9 @@ import json
 import sys
 
 from .config import BudgetExceeded
-from .greedy import GreedyError, SearchSpec, greedy_set
-from .harness import (ConfigError, ExperimentSpec, EXPERIMENTS, _sanitize,
-                      list_experiments, parse_config, run_estimate,
-                      run_experiment, write_csv, write_json)
+from .greedy import GreedyError, SearchSpec, estimate_constant, greedy_set
+from .harness import (ConfigError, ExperimentSpec, _sanitize, list_experiments,
+                      parse_config, run_experiment, write_csv, write_json)
 from .norms import NormDomainError
 from .ordinals import OrdinalError, parse_ordinal
 from .rah import IndexStream, rah_schreier_bound_search, rah_sequence
@@ -80,8 +79,11 @@ def _cmd_tga_run(args):
 def _cmd_constants_estimate(args):
     spec = SearchSpec(seed=args.seed, samples=args.samples,
                       template=args.template)
-    report = run_estimate(args.name, args.space, args.family, spec,
-                          out_path=args.out)
+    estimate = estimate_constant(args.name, make_space(args.space),
+                                 FamilyHandle.parse(args.family), spec)
+    report = {**estimate.to_dict(), "space": args.space, "family": args.family}
+    if args.out:
+        write_json(args.out, report)
     _emit(report)
 
 
@@ -101,17 +103,15 @@ def _cmd_rah_build(args):
     alpha = parse_ordinal(args.alpha)
     stream = IndexStream.naturals(args.min)
     try:
-        vecs = rah_sequence(alpha, stream, args.blocks)
+        vecs, budget_error = rah_sequence(alpha, stream, args.blocks), None
     except BudgetExceeded as exc:
-        attained = exc.attained or []
-        payload = _rah_payload(args, attained, budget_error=str(exc))
-        if args.out:
-            write_json(args.out, payload)
-        _emit(payload)
-        return 3
-    payload = _rah_payload(args, vecs)
+        vecs, budget_error = exc.attained or [], str(exc)
+    payload = _rah_payload(args, vecs, budget_error)
     if args.out:
         write_json(args.out, payload)
+    if budget_error:
+        _emit(payload)
+        return 3
     _emit({"alpha": args.alpha, "blocks": len(vecs),
            "supports": [[v.min_index(), v.max_index()] for v in vecs],
            "out": args.out})
@@ -153,9 +153,7 @@ def _cmd_repro(args):
     else:
         if not args.name:
             raise ConfigError("name an experiment or pass --config")
-        if args.name not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {args.name!r}")
-        spec = ExperimentSpec(args.name, dict(EXPERIMENTS[args.name].defaults))
+        spec = ExperimentSpec(args.name)
     summary = run_experiment(spec, args.out)
     _emit(summary)
     return 0 if summary["status"] == "PASS" else 1

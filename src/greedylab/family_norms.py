@@ -13,13 +13,12 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import accumulate, combinations, product
-from math import lcm
 from operator import sub
 
 from .config import BudgetExceeded, node_budget
 from .ordinals import ONE, Ordinal, fundamental_term
 from .schreier import FamilyError, _max_prefix, f_alpha_member, schreier_member
-from .vectors import SparseVector
+from .vectors import SparseVector, over_one_denominator
 
 
 # ---------------------------------------------------------------------------
@@ -35,8 +34,8 @@ def _as_ints(entries):
     kinds = set(map(type, entries.values()))
     if Fraction not in kinds or not kinds <= {int, Fraction}:
         return entries, None
-    D = lcm(*{v.denominator for v in entries.values()})
-    return {i: v.numerator * (D // v.denominator) for i, v in entries.items()}, D
+    nums, D = over_one_denominator(entries.values())
+    return dict(zip(entries, nums)), D
 
 
 def _divided(out, D, want_witness=False):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import chain, combinations, count, islice, product
 
 from .norms import NormDomainError
-from .vectors import SparseVector
+from .vectors import SparseVector, over_one_denominator
 
 TIE_TOL = 1e-12
 GAP_TOL = 1e-9
@@ -75,6 +75,8 @@ def greedy_set(x: SparseVector, m: int, tie_break: str = "smallest-index",
     returns every completion of the tied boundary.  Orders beyond the support
     pad with the smallest unused indices (zero coefficients tie), flagged.
     """
+    if tie_break not in ("smallest-index", "enumerate-all"):
+        raise GreedyError(f"unknown tie_break {tie_break!r}")
     if m < 0:
         raise GreedyError("order must be nonnegative")
     if dimension_cap is not None and m > dimension_cap:
@@ -84,25 +86,20 @@ def greedy_set(x: SparseVector, m: int, tie_break: str = "smallest-index",
 
     if m > n:
         pad = islice((i for i in count(1) if i not in x.entries), m - n)
-        chosen = tuple(ranked) + tuple(pad)
-        result = _result_for(x, chosen, m, True)
-        return [result] if tie_break == "enumerate-all" else result
-
-    if m == 0:
-        result = _result_for(x, (), 0, False)
-        return [result] if tie_break == "enumerate-all" else result
-
-    threshold = abs(x.entries[ranked[m - 1]])
-    above = [i for i in ranked if abs(x.entries[i]) > threshold + TIE_TOL]
-    tied = [i for i in ranked if abs(abs(x.entries[i]) - threshold) <= TIE_TOL]
-    tie_flag = len(above) + len(tied) > m
-
-    if tie_break == "smallest-index":
-        return _result_for(x, tuple(ranked[:m]), m, tie_flag)
-    if tie_break != "enumerate-all":
-        raise GreedyError(f"unknown tie_break {tie_break!r}")
-    return [_result_for(x, tuple(above) + combo, m, tie_flag)
-            for combo in combinations(sorted(tied), m - len(above))]
+        results = [_result_for(x, tuple(ranked) + tuple(pad), m, True)]
+    elif m == 0:
+        results = [_result_for(x, (), 0, False)]
+    else:
+        threshold = abs(x.entries[ranked[m - 1]])
+        above = [i for i in ranked if abs(x.entries[i]) > threshold + TIE_TOL]
+        tied = [i for i in ranked if abs(abs(x.entries[i]) - threshold) <= TIE_TOL]
+        tie_flag = len(above) + len(tied) > m
+        if tie_break == "smallest-index":
+            results = [_result_for(x, tuple(ranked[:m]), m, tie_flag)]
+        else:
+            results = [_result_for(x, tuple(above) + combo, m, tie_flag)
+                       for combo in combinations(sorted(tied), m - len(above))]
+    return results if tie_break == "enumerate-all" else results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +192,6 @@ def _one_cut_bound(cut, width):
     return max(0, b - width * sum(v for v in g if v > 0)), e
 
 
-def _over_one_denominator(values):
-    """The values (ints, floats or Fractions) as ints over their least common
-    denominator: (numerators, denominator).  Float denominators are powers of
-    two."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = math.lcm(*(q for _, q in ratios))
-    return [p * (den // q) for p, q in ratios], den
-
-
 def _gap_closed(best, num, den):
     """Whether best - num/den <= GAP_TOL * max(1, best): in floats, after
     rounding the bound to a float, when best is a float, and exactly when it
@@ -247,12 +235,12 @@ def best_coefficients(x: SparseVector, support, oracle):
             raise NormDomainError(f"residual norm on support {support} overflows floats")
         if not cuts:
             # c = (low + d) / D with 0 <= d <= 2r: b = f(x.drop(A)) + r sum g
-            (r, *xs), D = _over_one_denominator([value, *coeffs, *rest.values()])
+            (r, *xs), D = over_one_denominator([value, *coeffs, *rest.values()])
             low = [v - r for v in xs[:len(support)]]
             xs_rest = xs[len(support):]
         if value < best[0]:
             best = (value, coeffs)
-        fs, e = _over_one_denominator([f.get(n) for n in chain(support, rest)])
+        fs, e = over_one_denominator([f.get(n) for n in chain(support, rest)])
         g = fs[:len(support)]
         b = sum(v * w for v, w in zip(fs[len(support):], xs_rest)) + r * sum(g)
         h = math.gcd(e, b, *g)
@@ -274,42 +262,6 @@ def best_coefficients(x: SparseVector, support, oracle):
         converged = False
     value, coeffs = best
     return value, dict(zip(support, coeffs)), converged
-
-
-def grid_best_coefficients(x: SparseVector, support, oracle, points: int = 41,
-                           rounds: int = 6):
-    """Reference optimizer: per-axis grids with refinement around the best node.
-
-    Limited to |support| <= 2; the single-pass grid step is too coarse for
-    the comparison tolerance, so the grid recenters and shrinks each round.
-    """
-    support = tuple(sorted(support))
-    if len(support) > 2:
-        raise GreedyError("grid optimizer limited to supports of size <= 2")
-    if not support:
-        return oracle.norm(x), {}
-    radius = 3.0 * float(x.inf_norm() or 1.0)
-    centers = [0.0] * len(support)
-    span = radius
-    best_val = None
-    best_pt = None
-    for _ in range(rounds):
-        axes = []
-        for c in centers:
-            lo, hi = c - span, c + span
-            step = (hi - lo) / (points - 1)
-            axes.append([lo + k * step for k in range(points)])
-        for pt in product(*axes):
-            data = dict(x.entries)
-            for n, a in zip(support, pt):
-                data[n] = data.get(n, 0) - a
-            v = oracle.norm(SparseVector(data))
-            if best_val is None or v < best_val:
-                best_val = v
-                best_pt = pt
-        centers = list(best_pt)
-        span = 2.0 * (2.0 * span / (points - 1))
-    return best_val, dict(zip(support, best_pt))
 
 
 # ---------------------------------------------------------------------------
@@ -563,22 +515,31 @@ def _template_configs(name, oracle, family, spec):
         raise GreedyError(f"unknown template {template!r}")
 
 
+def _disjoint_sets(rng, oracle, family, spec: SearchSpec, spare: int):
+    """A random family member A and a set B disjoint from it with |A| <= |B|,
+    both in 1..min(index_range, dimension cap), leaving at least `spare` of
+    those indices outside A and B: (A, B, the indices outside A), or None
+    when the draw is degenerate."""
+    pool = range(1, min(spec.index_range, oracle.dimension_cap) + 1)
+    A = _random_family_member(rng, family, pool, spec.set_size_cap)
+    if not A:
+        return None
+    rest = [i for i in pool if i not in set(A)]
+    if len(rest) < len(A) + spare:
+        return None
+    size = rng.randint(len(A), min(len(rest) - spare, max(len(A), spec.set_size_cap)))
+    return A, tuple(sorted(rng.sample(rest, size))), rest
+
+
 def _sampled_configs(name, rng, oracle, family, spec: SearchSpec):
     """Random configurations for constant `name` from spec.samples rounds of
     draws from rng; a round whose draw is degenerate yields nothing."""
-    cap = oracle.dimension_cap
     for _ in range(spec.samples):
         if name in ("Cd", "Csd"):
-            hi = min(spec.index_range, cap)
-            pool = range(1, hi + 1)
-            A = _random_family_member(rng, family, pool, spec.set_size_cap)
-            if not A:
+            drawn = _disjoint_sets(rng, oracle, family, spec, 0)
+            if drawn is None:
                 continue
-            rest = [i for i in pool if i not in set(A)]
-            if len(rest) < len(A):
-                continue
-            B = tuple(sorted(rng.sample(rest, rng.randint(len(A), min(len(rest),
-                      max(len(A), spec.set_size_cap))))))
+            A, B, _ = drawn
             if name == "Cd":
                 xa = SparseVector.indicator(A, 1.0)
                 xb = SparseVector.indicator(B, 1.0)
@@ -592,7 +553,7 @@ def _sampled_configs(name, rng, oracle, family, spec: SearchSpec):
                 lhs, rhs = _property_sides(cfg)
                 yield {"lhs": lhs, "rhs": rhs}
         else:
-            x = _random_vector(rng, spec, cap)
+            x = _random_vector(rng, spec, oracle.dimension_cap)
             if name == "Ks":
                 A = _random_family_member(rng, family, x.support, spec.set_size_cap)
                 if A:
@@ -605,6 +566,19 @@ def _sampled_configs(name, rng, oracle, family, spec: SearchSpec):
                     yield {"vector": x, "m": m}
 
 
+def _max_ratio(name, oracle, family, configs, floor):
+    """The largest `_ratio` over the (kind, configuration) pairs, under one
+    _SampleMemo, and the first pair attaining it; (floor, None) when no ratio
+    exceeds floor."""
+    memo = _SampleMemo(oracle)
+    best, top = floor, None
+    for kind, cfg in configs:
+        ratio = _ratio(name, oracle, family, cfg, memo)
+        if ratio > best:
+            best, top = ratio, (kind, cfg)
+    return best, top
+
+
 def estimate_constant(name: str, oracle, family, spec: SearchSpec) -> ConstantEstimate:
     """Certified lower bound for a named greedy-type constant.
 
@@ -614,18 +588,12 @@ def estimate_constant(name: str, oracle, family, spec: SearchSpec) -> ConstantEs
     """
     if name not in CONSTANT_NAMES:
         raise GreedyError(f"unknown constant {name!r}; pick from {CONSTANT_NAMES}")
-    best = 1.0
-    witness = {"kind": "trivial"}
     templated = ((f"template:{spec.template}", cfg)
                  for cfg in _template_configs(name, oracle, family, spec))
     sampled = (("sampled", cfg) for cfg in _sampled_configs(
         name, random.Random(spec.seed), oracle, family, spec))
-    memo = _SampleMemo(oracle)
-    for kind, cfg in chain(templated, sampled):
-        ratio = _ratio(name, oracle, family, cfg, memo)
-        if ratio > best:
-            best = ratio
-            witness = {"kind": kind, **_wire(cfg)}
+    best, top = _max_ratio(name, oracle, family, chain(templated, sampled), 1.0)
+    witness = {"kind": "trivial"} if top is None else {"kind": top[0], **_wire(top[1])}
     return ConstantEstimate(name, best, witness, spec.to_dict())
 
 
@@ -652,16 +620,10 @@ def _property_sides(cfg: PropertyConfig):
 
 
 def _random_property_config(rng, oracle, family, spec) -> PropertyConfig | None:
-    hi = min(spec.index_range, oracle.dimension_cap)
-    pool = list(range(1, hi + 1))
-    A = _random_family_member(rng, family, pool, spec.set_size_cap)
-    if not A:
+    drawn = _disjoint_sets(rng, oracle, family, spec, 1)
+    if drawn is None:
         return None
-    rest = [i for i in pool if i not in set(A)]
-    if len(rest) < len(A) + 1:
-        return None
-    b_size = rng.randint(len(A), min(len(rest) - 1, max(len(A), spec.set_size_cap)))
-    B = tuple(sorted(rng.sample(rest, b_size)))
+    A, B, rest = drawn
     left = [i for i in rest if i not in set(B)]
     supp_size = rng.randint(0, min(len(left), spec.support_cap))
     supp = tuple(sorted(rng.sample(left, supp_size)))
@@ -796,15 +758,11 @@ def theorem_suite(oracle, family, spec: TheoremSuiteSpec) -> dict:
 
     ks = spec.certified.get("Ks")
     cb = spec.certified.get("Cb")
-    worst = 0.0
-    worst_wit = None
     sampling = SearchSpec(samples=spec.samples, m_cap=spec.m_cap)
-    memo = _SampleMemo(oracle)
-    for cfg in _sampled_configs("Cg", rng, oracle, family, sampling):
-        ratio = _ratio("Cg", oracle, family, cfg, memo)
-        if ratio > worst:
-            worst = ratio
-            worst_wit = _wire(cfg)
+    configs = (("sampled", cfg) for cfg in _sampled_configs(
+        "Cg", rng, oracle, family, sampling))
+    worst, top = _max_ratio("Cg", oracle, family, configs, 0.0)
+    worst_wit = None if top is None else _wire(top[1])
     if ks is not None and cb is not None:
         ok = worst <= ks * cb + 1e-9
         checks.append({"name": "greedy-ratio-vs-certified-product",

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .config import BudgetExceeded
 from .family_norms import jamesification_norm, weighted_schreier_norm
-from .greedy import SearchSpec, estimate_constant
 from .norms import kt_block_norm
 from .ordinals import Ordinal, OrdinalError, parse_ordinal
 from .rah import (IndexStream, ShiftedInt, democracy_growth_table,
@@ -55,10 +54,6 @@ class ExperimentDef:
     defaults: dict
     param_types: dict
     description: str
-
-
-def _check_int(raw):
-    return int(raw)
 
 
 def _check_ordinal(raw):
@@ -147,6 +142,12 @@ def write_json(path, payload):
         fh.write("\n")
 
 
+def _check(name, witness, **fields):
+    """A check that fails with its witness, and passes when it has none."""
+    return {"name": name, "status": "FAIL" if witness else "PASS",
+            "witness": witness, **fields}
+
+
 def _summary(spec, checks):
     status = "PASS"
     if any(c["status"] == "FAIL" for c in checks):
@@ -182,9 +183,7 @@ def _run_kt_00(spec, out_dir):
             bad = bad or {"N": N, "positive": pn, "alternating": an, "harmonic": h}
     write_csv(out_dir / "repro-kt-00.csv",
               ("N", "positive_norm", "alternating_norm", "ratio"), rows)
-    checks = [{"name": "closed-forms",
-               "status": "FAIL" if bad else "PASS", "witness": bad}]
-    return checks
+    return [_check("closed-forms", bad)]
 
 
 def _run_parity(spec, out_dir):
@@ -209,8 +208,7 @@ def _run_parity(spec, out_dir):
     write_csv(out_dir / "repro-parity.csv",
               ("N", "norm_small_family_set", "norm_partner", "democracy_ratio"),
               rows)
-    return [{"name": "ratio-is-sqrt", "status": "FAIL" if bad else "PASS",
-             "witness": bad}]
+    return [_check("ratio-is-sqrt", bad)]
 
 
 def _run_l2sum(spec, out_dir):
@@ -232,14 +230,12 @@ def _run_l2sum(spec, out_dir):
             bad = bad or {"case": case, "A": A, "norm": norm}
     write_csv(out_dir / "repro-l2sum.csv",
               ("case", "size", "norm", "lower", "upper", "ok"), rows)
-    return [{"name": "two-sided-democracy", "status": "FAIL" if bad else "PASS",
-             "witness": bad}]
+    return [_check("two-sided-democracy", bad)]
 
 
 def _run_james(spec, out_dir):
     rng = random.Random(spec.seed)
     samples = spec.params["samples"]
-    checks = []
     bad = None
     for _ in range(samples):
         size = rng.randint(1, 12)
@@ -257,8 +253,7 @@ def _run_james(spec, out_dir):
             current = nxt
         if bad:
             break
-    checks.append({"name": "greedy-removal-never-grows",
-                   "status": "FAIL" if bad else "PASS", "witness": bad})
+    checks = [_check("greedy-removal-never-grows", bad)]
 
     rows = []
     grow_bad = None
@@ -286,8 +281,7 @@ def _run_james(spec, out_dir):
         prev_ratio = ratio
     write_csv(out_dir / "repro-james.csv",
               ("block_min", "positive_norm", "alternating_norm", "ratio"), rows)
-    checks.append({"name": "alternating-average-shrinks",
-                   "status": "FAIL" if grow_bad else "PASS", "witness": grow_bad})
+    checks.append(_check("alternating-average-shrinks", grow_bad))
     return checks
 
 
@@ -310,15 +304,12 @@ def _run_walpha(spec, out_dir):
         if val != 1:
             basis_bad = {"n": n, "norm": float(val)}
             break
-    checks.append({"name": "unit-vectors-normalized",
-                   "status": "FAIL" if basis_bad else "PASS", "witness": basis_bad})
+    checks.append(_check("unit-vectors-normalized", basis_bad))
 
     cert_rows = weight_family_certificates(family)
     cert_bad = [row for row in cert_rows
                 if not all(row["checks"].values())]
-    checks.append({"name": "block-certificates",
-                   "status": "FAIL" if cert_bad else "PASS",
-                   "witness": cert_bad or None})
+    checks.append(_check("block-certificates", cert_bad or None))
 
     sampled_bad = None
     max_seen = 0.0
@@ -332,9 +323,7 @@ def _run_walpha(spec, out_dir):
         if not val < 3:
             sampled_bad = {"A": A, "norm": fval}
             break
-    checks.append({"name": "small-family-sets-bounded",
-                   "status": "FAIL" if sampled_bad else "PASS",
-                   "value": max_seen, "witness": sampled_bad})
+    checks.append(_check("small-family-sets-bounded", sampled_bad, value=max_seen))
 
     demo = democracy_growth_table(family)
     ratios = [row["ratio"] for row in demo]
@@ -360,35 +349,34 @@ def _run_m31(spec, out_dir):
         if m is None:
             bad = bad or {"set": S}
     write_csv(out_dir / "repro-m31.csv", ("case", "set", "level_offset"), rows)
-    return [{"name": "every-high-set-joins-a-level",
-             "status": "FAIL" if bad else "PASS", "witness": bad}]
+    return [_check("every-high-set-joins-a-level", bad)]
 
 
 EXPERIMENTS = {
     "repro-kt-00": ExperimentDef(
         _run_kt_00, {"n_min": 2, "n_max": 64},
-        {"n_min": _check_int, "n_max": _check_int},
+        {"n_min": int, "n_max": int},
         "window-space closed forms: positive vs alternating weighted sums"),
     "repro-parity": ExperimentDef(
-        _run_parity, {"n_max": 100}, {"n_max": _check_int},
+        _run_parity, {"n_max": 100}, {"n_max": int},
         "parity norm democracy failure: ratio grows like sqrt(N)"),
     "repro-l2sum": ExperimentDef(
         _run_l2sum, {"samples": 2000, "size_cap": 200},
-        {"samples": _check_int, "size_cap": _check_int},
+        {"samples": int, "size_cap": int},
         "l2 block sum: two-sided square-root democracy bounds"),
     "repro-james": ExperimentDef(
         _run_james, {"samples": 500, "witness_count": 3},
-        {"samples": _check_int, "witness_count": _check_int},
+        {"samples": int, "witness_count": int},
         "interval-system space: greedy removal is non-expansive; alternating "
         "averages have small norm"),
     "repro-walpha": ExperimentDef(
         _run_walpha, {"blocks": 4, "n0": 2, "samples": 500},
-        {"blocks": _check_int, "n0": _check_int, "samples": _check_int},
+        {"blocks": int, "n0": int, "samples": int},
         "weighted truncated space: normalized basis, bounded small-family "
         "sets, growing democracy ratios"),
     "repro-m31": ExperimentDef(
         _run_m31, {"alpha": "w", "m_cap": 12, "samples": 200},
-        {"alpha": _check_ordinal, "m_cap": _check_int, "samples": _check_int},
+        {"alpha": _check_ordinal, "m_cap": int, "samples": int},
         "finite sets with min >= 2 join some finite offset of any level"),
 }
 
@@ -414,18 +402,3 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     summary = _summary(spec, checks)
     write_json(out_dir / f"{spec.experiment}.summary.json", summary)
     return summary
-
-
-def run_estimate(name, space_descr, family_descr, spec: SearchSpec, out_path=None):
-    """CLI-facing estimator wrapper producing the JSON report schema."""
-    from .schreier import FamilyHandle
-
-    oracle = make_space(space_descr)
-    family = FamilyHandle.parse(family_descr)
-    estimate = estimate_constant(name, oracle, family, spec)
-    report = estimate.to_dict()
-    report["space"] = space_descr
-    report["family"] = family_descr
-    if out_path:
-        write_json(out_path, report)
-    return report

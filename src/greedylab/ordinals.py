@@ -62,12 +62,6 @@ class Ordinal:
     def is_limit(self) -> bool:
         return bool(self.terms) and self.terms[-1][0] >= 1
 
-    @property
-    def kind(self) -> str:
-        if self.is_zero:
-            return "zero"
-        return "successor" if self.is_successor else "limit"
-
     def predecessor(self) -> "Ordinal":
         if not self.is_successor:
             raise OrdinalError(f"{self} is not a successor ordinal")

@@ -516,13 +516,6 @@ class WeightFamily:
     blocks: tuple
     n0: int
 
-    def weight_at(self, i: int):
-        for block in self.blocks:
-            w = block.weight_at(i)
-            if w is not None:
-                return w
-        return None
-
     def describe(self) -> dict:
         return {
             "level": self.level,

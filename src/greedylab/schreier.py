@@ -106,54 +106,6 @@ def schreier_decompose(E, alpha: Ordinal):
     return blocks
 
 
-def schreier_member_backtracking(E, alpha: Ordinal, _cache=None) -> bool:
-    """Reference oracle: full backtracking over block splits and limit indices."""
-    E = check_index_set(E)
-    cache = {} if _cache is None else _cache
-
-    def member(items, a):
-        if not items:
-            return True
-        key = (items, a.terms)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if a.is_zero:
-            res = len(items) == 1
-        elif a.is_limit:
-            res = any(
-                member(items, fundamental_term(a, m).successor())
-                for m in range(1, items[0] + 1)
-            )
-        else:
-            pred = a.predecessor()
-            n = len(items)
-            seen = {}
-
-            def cover(pos, left):
-                if pos == n:
-                    return True
-                if left == 0:
-                    return False
-                state = (pos, left)
-                got = seen.get(state)
-                if got is not None:
-                    return got
-                ok = False
-                for end in range(pos + 1, n + 1):
-                    if member(items[pos:end], pred) and cover(end, left - 1):
-                        ok = True
-                        break
-                seen[state] = ok
-                return ok
-
-            res = cover(0, items[0])
-        cache[key] = res
-        return res
-
-    return member(E, alpha)
-
-
 def schreier_maximal(E, alpha: Ordinal, universe_bound: int) -> bool:
     """True iff no element of (max E, universe_bound] extends E within the family.
 

@@ -8,6 +8,7 @@ evaluators share one container.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class VectorError(ValueError):
@@ -34,6 +35,15 @@ def _format_scalar(value) -> str:
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     return repr(value) if isinstance(value, float) else str(value)
+
+
+def over_one_denominator(values):
+    """The values (ints, floats or Fractions) as ints over their least common
+    denominator: (numerators, denominator).  Float denominators are powers of
+    two."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
 
 
 class SparseVector:
@@ -115,9 +125,6 @@ class SparseVector:
 
     def __len__(self):
         return len(self.entries)
-
-    def __bool__(self):
-        return bool(self.entries)
 
     @property
     def is_zero(self) -> bool:

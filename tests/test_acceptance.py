@@ -15,17 +15,17 @@ from greedylab.family_norms import (jamesification_norm, naive_james_norm,
                                     schreier_alpha_norm,
                                     weighted_schreier_norm)
 from greedylab.greedy import (SearchSpec, best_coefficients, estimate_constant,
-                              greedy_set, grid_best_coefficients)
+                              greedy_set)
 from greedylab.harness import ExperimentSpec, run_experiment
 from greedylab.norms import block_sum_norm, kt_block_norm
 from greedylab.ordinals import OMEGA, ONE, ZERO, parse_ordinal
 from greedylab.rah import (IndexStream, democracy_growth_table,
                            make_weight_family, rah_schreier_bound_search,
                            rah_sequence)
-from greedylab.schreier import (FamilyHandle, schreier_member,
-                                schreier_member_backtracking)
+from greedylab.schreier import FamilyHandle, schreier_member
 from greedylab.spaces import make_space
 from greedylab.vectors import SparseVector
+from references import grid_best_coefficients, schreier_member_backtracking
 
 TWO = parse_ordinal("2")
 THREE = parse_ordinal("3")

@@ -98,6 +98,19 @@ def test_constants_estimate(capsys, tmp_path):
     assert "witness" in payload and "spec" in payload
 
 
+def test_theorems_check_writes_the_printed_report(capsys, tmp_path):
+    out_json = tmp_path / "report.json"
+    code, out = run_cli(capsys, "theorems", "check", "--space", "parity",
+                        "--out", str(out_json))
+    assert code == 0
+    report = json.loads(out)
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("greedy-ratio-recorded", "RECORDED"),
+        ("sign-flip-comparability", "RECORDED"),
+        ("grid-constant-equality", "PASS")]
+    assert out_json.read_text() == out
+
+
 def test_rah_build_and_ppp1(capsys, tmp_path):
     out_json = tmp_path / "rah.json"
     code, _ = run_cli(capsys, "rah", "build", "--alpha", "2", "--min", "3",

@@ -10,7 +10,7 @@ from greedylab.config import BudgetExceeded
 from greedylab.family_norms import (_interval_best, jamesification_norm,
                                     naive_james_norm, naive_schreier_norm,
                                     schreier_alpha_norm, weighted_schreier_norm)
-from greedylab.ordinals import ONE, ZERO, parse_ordinal
+from greedylab.ordinals import OMEGA, ONE, ZERO, parse_ordinal
 from greedylab.rah import make_weight_family
 from greedylab.schreier import f_alpha_member, schreier_member
 from greedylab.vectors import SparseVector
@@ -117,6 +117,24 @@ def test_family_norm_budget_error():
         schreier_alpha_norm(x, TWO, max_nodes=5)
     # the refusal carries the greedy-maximal member from 3: {3, ..., 23}
     assert info.value.attained == 21
+
+
+def test_limit_level_row_fills_before_the_budget_runs_out(monkeypatch):
+    # At level w a window DP row is read only where the support is not itself
+    # a member, i.e. longer than the greedy level-w member from its minimum
+    # ([2..2047] from 2).  Such a support's successor-level rows need far more
+    # cells than the default node_budget(), so the limit branch of
+    # _WindowDP.witness cannot finish within a default budget; the limit
+    # branch of _fill is pinned here by the cells it spends before refusing.
+    terms = []
+    real = family_norms.fundamental_term
+    monkeypatch.setattr(family_norms, "fundamental_term",
+                        lambda alpha, n: terms.append(n) or real(alpha, n))
+    x = SparseVector(dict.fromkeys(range(2, 2101), 1))
+    with pytest.raises(BudgetExceeded) as info:
+        schreier_alpha_norm(x, OMEGA, max_nodes=10**5)
+    assert info.value.attained == 2046
+    assert terms  # the limit level's rows asked for fundamental terms
 
 
 def test_exact_budget_errors_carry_unscaled_attained():

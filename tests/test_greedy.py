@@ -18,12 +18,12 @@ from greedylab.greedy import (CONSTANT_NAMES, EXTRA_OFFSUPPORT, GAP_TOL,
                               almost_greedy_error, best_coefficients,
                               estimate_constant, evaluate_witness,
                               family_members_within, greedy_set,
-                              grid_best_coefficients, property_A_check,
-                              sigma_m, theorem_suite)
+                              property_A_check, sigma_m, theorem_suite)
 from greedylab.norms import NormDomainError, NormOracle
 from greedylab.schreier import FamilyHandle
 from greedylab.spaces import make_space
 from greedylab.vectors import SparseVector
+from references import grid_best_coefficients
 
 S1 = FamilyHandle.parse("s:1")
 POWERSET = FamilyHandle.powerset()
@@ -61,6 +61,10 @@ def test_greedy_padding_and_caps():
     assert res.greedy_set == (1, 2, 3) and res.tie_flag
     with pytest.raises(GreedyError):
         greedy_set(SparseVector({3: 1.0}), 9, dimension_cap=5)
+    # the tie rule is checked on every path, the zero and padded orders too
+    for m in (0, 1, 3):
+        with pytest.raises(GreedyError):
+            greedy_set(SparseVector({3: 1.0}), m, tie_break="bogus")
 
 
 def test_sigma_examples():

@@ -7,8 +7,8 @@ from greedylab.ordinals import OMEGA, ONE, ZERO, parse_ordinal
 from greedylab.schreier import (FamilyError, FamilyHandle, f_alpha_member,
                                 f_alpha_split, family_subsets, min_level_find,
                                 schreier_decompose, schreier_maximal,
-                                schreier_member, schreier_member_backtracking,
-                                tail_shift_find)
+                                schreier_member, tail_shift_find)
+from references import schreier_member_backtracking
 
 TWO = parse_ordinal("2")
 
