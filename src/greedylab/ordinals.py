@@ -62,6 +62,11 @@ class Ordinal:
     def is_limit(self) -> bool:
         return bool(self.terms) and self.terms[-1][0] >= 1
 
+    @property
+    def finite_part(self) -> int:
+        """The natural number j in self = lambda + j, lambda zero or a limit."""
+        return self.terms[-1][1] if self.is_successor else 0
+
     def predecessor(self) -> "Ordinal":
         if not self.is_successor:
             raise OrdinalError(f"{self} is not a successor ordinal")

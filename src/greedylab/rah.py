@@ -2,7 +2,11 @@
 
 The level-0 vectors are basis vectors along a stream; each successor level
 averages the first min-many lower-level vectors and moves the stream past the
-support just used.  Everything here is exact: l1 mass one and the flat
+support just used.  The leaves of an average are therefore the stream's
+elements in order, and a leaf's coefficient is one over the product of the
+mins of the blocks above it: each level-1 run of `min` consecutive leaves
+shares one Fraction, and a builder reads the stream by position instead of
+re-slicing it.  Everything here is exact: l1 mass one and the flat
 coefficient cap are rational identities, and the small-family-norm tail
 certificates are strict Fraction inequalities.
 """
@@ -13,10 +17,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from .config import BudgetExceeded, support_budget
 from .family_norms import schreier_alpha_norm
-from .ordinals import Ordinal, fundamental_term
+from .ordinals import ONE, Ordinal, fundamental_term
 from .schreier import FamilyError
 from .vectors import SparseVector
 
@@ -55,69 +60,107 @@ class IndexStream:
 
     @property
     def min(self) -> int:
-        return self.prefix[0] if self.prefix else self.tail_start
+        return self.at(0)
 
     def advance_past(self, n: int) -> "IndexStream":
         """The stream restricted to elements strictly above n."""
         kept = tuple(k for k in self.prefix if k > n)
         return IndexStream(kept, max(self.tail_start, n + 1))
 
+    def at(self, pos: int) -> int:
+        """The element at 0-based position pos."""
+        prefix = self.prefix
+        if pos < len(prefix):
+            return prefix[pos]
+        return self.tail_start + pos - len(prefix)
+
+    def run(self, pos: int, count: int):
+        """The `count` elements from position pos on, in order."""
+        head = self.prefix[pos:pos + count]
+        lo = self.tail_start + max(pos - len(self.prefix), 0)
+        return chain(head, range(lo, lo + count - len(head)))
+
     def first(self, count: int) -> tuple:
-        out = list(self.prefix[:count])
-        nxt = self.tail_start
-        while len(out) < count:
-            out.append(nxt)
-            nxt += 1
-        return tuple(out)
+        return tuple(self.run(0, count))
 
     def describe(self) -> dict:
         return {"prefix": list(self.prefix), "tail_start": self.tail_start}
 
 
-def _rah_block(alpha: Ordinal, stream: IndexStream, budget: int, used: int):
-    """One level-alpha average on the stream; returns (vector, used)."""
-    if alpha.is_zero:
-        if used + 1 > budget:
-            raise BudgetExceeded(
-                f"support budget {budget} exhausted while placing index "
-                f"{stream.min}",
-                attained=used,
-            )
-        return SparseVector({stream.min: Fraction(1)}), used + 1
-    if alpha.is_limit:
-        step = fundamental_term(alpha, stream.min).successor()
-        return _rah_block(step, stream, budget, used)
-    k = stream.min
-    pred = alpha.predecessor()
-    cur = stream
+class _OverBudget(Exception):
+    """The average being built needs more leaves than the budget has left."""
+
+
+def _average(alpha: Ordinal, stream: IndexStream, pos: int, budget: int):
+    """The level-alpha average whose first leaf is the stream's element at
+    position pos, as (entries, position after its last leaf).
+
+    Blocks are walked on an explicit stack carrying the product of the mins
+    above them.  At min >= 2 a level with finite part j holds at least 2^j
+    leaves, so a block is refused with `_OverBudget` as soon as these lower
+    bounds, summed over it and the siblings still owed, pass the budget: a
+    deep limit level is refused before its descent, and the stack never
+    outgrows the budget.  A block at min 1 is the single leaf 1 at every
+    level.
+    """
+    cap = budget.bit_length()  # 2^cap > budget: a wider bound cannot matter
+
+    def at_least(level):
+        return 1 << min(level.finite_part, cap)
+
     entries = {}
-    coeff = Fraction(1, k)
-    for _ in range(k):
-        part, used = _rah_block(pred, cur, budget, used)
-        for i, a in part.entries.items():
-            entries[i] = coeff * a
-        cur = cur.advance_past(part.max_index())
-    return SparseVector(entries), used
+    stack = []  # [level, siblings still to build, their denominator]
+    owed = 0  # leaves those siblings need, at least
+    den = 1
+    while True:
+        k = stream.at(pos)
+        if alpha.is_limit:
+            alpha = fundamental_term(alpha, k).successor()
+        if alpha.is_zero or k == 1:
+            count = 1
+        elif alpha == ONE:
+            count, den = k, den * k
+        else:
+            if pos + owed + at_least(alpha) > budget:
+                raise _OverBudget
+            alpha = alpha.predecessor()
+            den *= k
+            stack.append([alpha, k - 1, den])
+            owed += (k - 1) * at_least(alpha)
+            continue
+        if pos + owed + count > budget:
+            raise _OverBudget
+        entries.update(dict.fromkeys(stream.run(pos, count), Fraction(1, den)))
+        pos += count
+        while stack and not stack[-1][1]:
+            stack.pop()
+        if not stack:
+            return entries, pos
+        frame = stack[-1]
+        frame[1] -= 1
+        alpha, den = frame[0], frame[2]
+        owed -= at_least(alpha)
 
 
 def rah_sequence(alpha: Ordinal, stream: IndexStream, count: int,
                  max_support=None):
     """First `count` level-alpha averages on the stream, supports successive
-    and disjoint.  Fails loudly with the attained prefix on budget exhaustion."""
+    and disjoint.  Fails loudly with the attained prefix on budget exhaustion:
+    the message names the stream element the budget runs out at."""
     budget = support_budget() if max_support is None else max_support
     out = []
-    used = 0
-    cur = stream
+    pos = 0
     for _ in range(count):
         try:
-            vec, used = _rah_block(alpha, cur, budget, used)
-        except BudgetExceeded as exc:
+            entries, pos = _average(alpha, stream, pos, budget)
+        except _OverBudget:
             raise BudgetExceeded(
-                f"{exc} (completed {len(out)} whole blocks)",
+                f"support budget {budget} exhausted while placing index "
+                f"{stream.at(max(budget, 0))} (completed {len(out)} whole "
+                f"blocks)",
                 attained=out,
             ) from None
-        out.append(vec)
-        cur = stream.advance_past(vec.max_index())
+        out.append(SparseVector(entries))
     return out
 
 

@@ -48,13 +48,18 @@ def _max_prefix(items: tuple, start: int, alpha: Ordinal) -> int:
     if first == 1:
         # a member containing 1 is exactly {1}
         return start + 1
+    if n - start <= first:
+        # at most `first` singletons: a member at every nonzero level, a
+        # limit level resolving to a successor level at this min
+        return n
     if alpha.is_limit:
         step = fundamental_term(alpha, first).successor()
         return _max_prefix(items, start, step)
-    k = alpha.natural_value()
-    if k is not None and (n - start) <= (1 << min(k, 40)):
-        # any set with min >= 2 and size <= 2^k lies at finite level k
-        # (split in halves recursively; two blocks always fit under min >= 2)
+    j = alpha.finite_part
+    if (n - start) <= (1 << min(j, 40)):
+        # any set with min >= 2 and size <= 2^j lies at finite level j (split
+        # in halves recursively; two blocks always fit under min >= 2), and
+        # level j lies inside lambda + j for every lambda
         return n
     pred = alpha.predecessor()
     pos = start

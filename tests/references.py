@@ -1,8 +1,10 @@
 """Reference implementations the tests compare the library's fast paths
 against: slow, simple, and independent of the code under test."""
 
+from fractions import Fraction
 from itertools import product
 
+from greedylab.config import BudgetExceeded
 from greedylab.greedy import GreedyError
 from greedylab.ordinals import Ordinal, fundamental_term
 from greedylab.schreier import check_index_set
@@ -91,3 +93,49 @@ def schreier_member_backtracking(E, alpha: Ordinal, _cache=None) -> bool:
         return res
 
     return member(E, alpha)
+
+
+def _rah_block(alpha: Ordinal, stream, budget: int, used: int):
+    """One level-alpha average on the stream; returns (vector, used)."""
+    if alpha.is_zero:
+        if used + 1 > budget:
+            raise BudgetExceeded(
+                f"support budget {budget} exhausted while placing index "
+                f"{stream.min}",
+                attained=used,
+            )
+        return SparseVector({stream.min: Fraction(1)}), used + 1
+    if alpha.is_limit:
+        step = fundamental_term(alpha, stream.min).successor()
+        return _rah_block(step, stream, budget, used)
+    k = stream.min
+    pred = alpha.predecessor()
+    cur = stream
+    entries = {}
+    coeff = Fraction(1, k)
+    for _ in range(k):
+        part, used = _rah_block(pred, cur, budget, used)
+        for i, a in part.entries.items():
+            entries[i] = coeff * a
+        cur = cur.advance_past(part.max_index())
+    return SparseVector(entries), used
+
+
+def rah_sequence_recursive(alpha: Ordinal, stream, count: int, budget: int):
+    """Reference builder: one recursive call per block and per leaf, each
+    leaf re-scaled at every level above it and the stream re-sliced after
+    each block."""
+    out = []
+    used = 0
+    cur = stream
+    for _ in range(count):
+        try:
+            vec, used = _rah_block(alpha, cur, budget, used)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(
+                f"{exc} (completed {len(out)} whole blocks)",
+                attained=out,
+            ) from None
+        out.append(vec)
+        cur = stream.advance_past(vec.max_index())
+    return out

@@ -137,6 +137,17 @@ def test_rah_build_budget_exit_code(capsys, tmp_path, monkeypatch):
     assert "budget_error" in payload
 
 
+def test_rah_build_refuses_a_deep_limit_level(capsys, tmp_path):
+    out_json = tmp_path / "rah.json"
+    code, out = run_cli(capsys, "rah", "build", "--alpha", "w+2", "--min", "2",
+                        "--blocks", "1", "--out", str(out_json))
+    assert code == 3
+    payload = json.loads(out_json.read_text())
+    assert payload == json.loads(out)
+    assert payload["blocks"] == []
+    assert payload["budget_error"].startswith("support budget 100000 exhausted")
+
+
 def test_repro_and_list(capsys, tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("experiment = repro-parity\nn_max = 9\n")

@@ -17,6 +17,8 @@ def test_classify_examples():
     kind, pred = classify(parse_ordinal("w + 3"))
     assert kind == "successor" and pred == parse_ordinal("w + 2")
     assert classify(parse_ordinal("w^2")) == ("limit", None)
+    assert [parse_ordinal(t).finite_part
+            for t in ("0", "5", "w", "w^2*2 + 3")] == [0, 5, 0, 3]
 
 
 def test_successor_roundtrip():

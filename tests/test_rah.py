@@ -3,12 +3,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greedylab.config import BudgetExceeded
 from greedylab.family_norms import schreier_alpha_norm, weighted_schreier_norm
-from greedylab.ordinals import ONE, ZERO, parse_ordinal
+from greedylab.ordinals import OMEGA, ONE, ZERO, parse_ordinal
 from greedylab.rah import (GeometricBlock, IndexStream, ShiftedInt,
                            WeightFamily, democracy_growth_table,
                            int_descriptor, make_weight_family,
@@ -16,6 +16,7 @@ from greedylab.rah import (GeometricBlock, IndexStream, ShiftedInt,
                            weight_family_certificates)
 from greedylab.schreier import FamilyError, schreier_maximal
 from greedylab.vectors import SparseVector
+from references import rah_sequence_recursive
 
 TWO = parse_ordinal("2")
 
@@ -82,6 +83,71 @@ def test_budget_failure_is_loud_and_partial():
         rah_sequence(TWO, IndexStream.naturals(3), 3, max_support=50)
     assert info.value.attained is not None
     assert len(info.value.attained) == 1
+
+
+RAH_LEVELS = [parse_ordinal(t) for t in ("0", "1", "2", "3", "w", "w+1", "w*2")]
+
+
+def _outcome(build, alpha, stream, count, budget):
+    """Entries as (index, numerator, denominator, type) rows, or the budget
+    refusal's message and attained entries, or the RecursionError."""
+    def rows(vecs):
+        return [[(i, a.numerator, a.denominator, type(a))
+                 for i, a in v.entries.items()] for v in vecs]
+    try:
+        return "built", rows(build(alpha, stream, count, budget))
+    except BudgetExceeded as exc:
+        return "budget", str(exc), rows(exc.attained)
+    except RecursionError:
+        return ("recursion",)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 30), max_size=5, unique=True),
+       st.integers(1, 20), st.sampled_from(RAH_LEVELS), st.integers(1, 3),
+       st.integers(1, 3000))
+# w + 1 at min 2: the second level-w block is level 2049 at min 2048, past
+# the reference's recursion limit
+@example([], 2, parse_ordinal("w+1"), 1, 3000)
+def test_builder_matches_recursive_reference(prefix, gap, alpha, count,
+                                             budget):
+    prefix = sorted(prefix)
+    stream = IndexStream(tuple(prefix), (prefix[-1] if prefix else 0) + gap)
+    got = _outcome(rah_sequence, alpha, stream, count, budget)
+    want = _outcome(rah_sequence_recursive, alpha, stream, count, budget)
+    if want == ("recursion",):
+        assert got[0] == "budget"
+    else:
+        assert got == want
+
+
+def test_deep_limit_levels_are_refused_up_front():
+    # w at min 2048 is level 2049: at least 2^2049 leaves
+    with pytest.raises(BudgetExceeded) as info:
+        rah_sequence(parse_ordinal("w+2"), IndexStream.naturals(2), 1)
+    assert info.value.attained == []
+    assert str(info.value) == ("support budget 100000 exhausted while placing "
+                               "index 100002 (completed 0 whole blocks)")
+    with pytest.raises(BudgetExceeded) as info:
+        rah_schreier_bound_search(parse_ordinal("w+1"), parse_ordinal("w+2"), 1)
+    assert info.value.attained == []
+    # the first level-w block is the level-3 one; the second is refused
+    with pytest.raises(BudgetExceeded) as info:
+        rah_sequence(OMEGA, IndexStream.naturals(2), 2)
+    assert info.value.attained == rah_sequence(parse_ordinal("3"),
+                                               IndexStream.naturals(2), 1)
+    assert "(completed 1 whole blocks)" in str(info.value)
+    # deeply nested limit levels are walked on the builder's own stack, so
+    # they too end in the budget refusal, never in a RecursionError
+    for level, start in (("w^5", 5), ("w^7*7", 3)):
+        with pytest.raises(BudgetExceeded) as info:
+            rah_sequence(parse_ordinal(level), IndexStream.naturals(start), 1)
+        assert info.value.attained == []
+    # a block at min 1 is the leaf 1 at any level; the next one is refused
+    with pytest.raises(BudgetExceeded) as info:
+        rah_sequence(parse_ordinal("w^7*3 + 1000000"), IndexStream.naturals(1),
+                     2)
+    assert [v.entries for v in info.value.attained] == [{1: Fraction(1)}]
 
 
 def test_tail_certificates():

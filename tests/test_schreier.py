@@ -1,7 +1,9 @@
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedylab.ordinals import OMEGA, ONE, ZERO, parse_ordinal
 from greedylab.schreier import (FamilyError, FamilyHandle, f_alpha_member,
@@ -60,6 +62,28 @@ def test_greedy_matches_backtracking_spot():
         for alpha in (TWO, OMEGA):
             assert schreier_member(E, alpha) == schreier_member_backtracking(
                 E, alpha, cache)
+
+
+MEMBER_LEVELS = [parse_ordinal(t) for t in ("0", "1", "2", "3", "w", "w+1", "w*2")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.lists(st.integers(1, 3), max_size=13))
+def test_member_matches_backtracking(first, gaps):
+    E = tuple(accumulate([first] + gaps))
+    for alpha in MEMBER_LEVELS:
+        assert schreier_member(E, alpha) == schreier_member_backtracking(
+            E, alpha), alpha
+
+
+def test_member_at_a_deep_limit_level():
+    # w*2 at min 5000 is w + 5001: both sets are decided by a shortcut (at
+    # most min singletons; at most 2^5001 points) instead of 5001 nested
+    # levels, which would pass the interpreter's recursion limit
+    w2 = parse_ordinal("w*2")
+    assert schreier_member((5000,), w2)
+    assert schreier_member(tuple(range(5000, 11000)), w2)
+    assert not schreier_member((1, 5000), w2)
 
 
 def test_maximal_examples():
