@@ -26,7 +26,11 @@ def _parse_set(text: str) -> tuple:
     text = text.strip()
     if not text:
         return ()
-    return check_index_set(int(tok) for tok in text.split(","))
+    try:
+        items = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise FamilyError(f"not a comma-separated list of integers: {text!r}") from None
+    return check_index_set(items)
 
 
 def _cmd_family_check(args):

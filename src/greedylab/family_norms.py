@@ -151,15 +151,8 @@ class _WindowDP:
         key = (level, s)
         end = self._reach.get(key)
         if end is None:
-            if self._relaxed(level):
-                end, pred = s, level.predecessor()
-                for _ in range(2 * self.idxs[s]):
-                    if end == len(self.idxs):
-                        break
-                    end = self.reach(pred, end)
-            else:
-                end = _max_prefix(self.idxs, s, level)
-            self._reach[key] = end
+            end = self._reach[key] = _max_prefix(
+                self.idxs, s, level, 2 if self._relaxed(level) else 1)
         return end
 
     def _spend(self, cells):

@@ -28,6 +28,7 @@ from fractions import Fraction
 from itertools import chain, combinations, count, islice, product
 
 from .norms import NormDomainError
+from .schreier import family_members_within
 from .vectors import SparseVector, over_one_denominator
 
 TIE_TOL = 1e-12
@@ -100,33 +101,6 @@ def greedy_set(x: SparseVector, m: int, tie_break: str = "smallest-index",
             results = [_result_for(x, tuple(above) + combo, m, tie_flag)
                        for combo in combinations(sorted(tied), m - len(above))]
     return results if tie_break == "enumerate-all" else results[0]
-
-
-# ---------------------------------------------------------------------------
-# family-member enumeration inside an index pool
-# ---------------------------------------------------------------------------
-
-
-def family_members_within(family, pool, size_cap: int):
-    """All family members inside the sorted pool with size <= size_cap.
-
-    Hereditary families allow pruning: once a prefix leaves the family no
-    extension can return.  Yields sorted tuples, the empty set first.
-    """
-    pool = tuple(sorted(pool))
-    out = [()]
-
-    def extend(prefix, start):
-        for j in range(start, len(pool)):
-            cand = prefix + (pool[j],)
-            if family.contains(cand):
-                out.append(cand)
-                if len(cand) < size_cap:
-                    extend(cand, j + 1)
-
-    if size_cap >= 1:
-        extend((), 0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +665,7 @@ def _grid_equality_check(oracle, family, dim: int, tol: float = 1e-6):
         key = tuple(float(entries.get(i, 0.0)) for i in idxs)
         return table[key]
 
-    members = [A for A in _all_subsets(idxs) if family.contains(A)]
-    member_set = set(members)
+    member_set = set(family_members_within(family, idxs, dim))
 
     max_a = 1.0
     for t in product((-1.0, 0.0, 1.0), repeat=dim):
@@ -700,9 +673,9 @@ def _grid_equality_check(oracle, family, dim: int, tol: float = 1e-6):
         if not supp:
             continue
         x = {i: v for i, v in zip(idxs, t) if v}
-        drop_norm = {}
-        for A in _all_subsets(supp):
-            drop_norm[A] = norm_of({i: v for i, v in x.items() if i not in set(A)})
+        drop_norm = {A: norm_of({i: v for i, v in x.items() if i not in A})
+                     for size in range(len(supp) + 1)
+                     for A in combinations(supp, size)}
         for m in range(1, len(supp) + 1):
             denom = min(drop_norm[A] for A in drop_norm
                         if len(A) <= m and A in member_set)
@@ -739,10 +712,6 @@ def _grid_equality_check(oracle, family, dim: int, tol: float = 1e-6):
                 max_b = p_ratio
     return {"max_almost_greedy": max_a, "max_sign_splitting": max_b,
             "difference": abs(max_a - max_b), "equal": abs(max_a - max_b) <= tol}
-
-
-def _all_subsets(items: tuple):
-    return [c for size in range(len(items) + 1) for c in combinations(items, size)]
 
 
 def theorem_suite(oracle, family, spec: TheoremSuiteSpec) -> dict:

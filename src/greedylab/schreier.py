@@ -3,13 +3,16 @@
 Finite sets are plain strictly increasing tuples of integers >= 1.  The level
 of a family is an Ordinal; level 0 is singletons plus the empty set, each
 successor level takes at most min-many consecutive blocks from the level
-below, and limit levels defer to the canonical fundamental sequence.
+below, and limit levels defer to the canonical fundamental sequence; the
+relaxed two-for-one family takes up to twice min-many.  One greedy walk,
+`_max_prefix`, follows this recursion on an explicit stack for every
+membership and decomposition; one pruned enumerator, `family_members_within`,
+lists the members of any hereditary family inside a pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .ordinals import Ordinal, fundamental_term, parse_ordinal
 
@@ -32,42 +35,55 @@ def check_index_set(E) -> tuple:
     return E
 
 
-def _max_prefix(items: tuple, start: int, alpha: Ordinal) -> int:
-    """End position of the longest prefix of items[start:] lying at level alpha.
+def _max_prefix(items: tuple, start: int, alpha: Ordinal, per_min: int = 1) -> int:
+    """End position of the longest prefix of items[start:] lying at level alpha
+    (per_min 1) or in the relaxed family at the successor level alpha (2).
 
-    Greedy-maximal: a successor-level prefix is built from at most items[start]
-    maximal blocks one level down; greedy blocks dominate any other block
-    choice because the families are hereditary and spreading.
+    Greedy-maximal: a successor-level prefix is built from at most
+    per_min * items[start] maximal blocks one level down (per_min applies to
+    the top level only); greedy blocks dominate any other block choice
+    because the families are hereditary and spreading.  Levels are walked on
+    an explicit stack, so deep limit levels never reach the recursion limit.
     """
     n = len(items)
-    if start >= n:
-        return start
-    if alpha.is_zero:
-        return start + 1
-    first = items[start]
-    if first == 1:
-        # a member containing 1 is exactly {1}
-        return start + 1
-    if n - start <= first:
-        # at most `first` singletons: a member at every nonzero level, a
-        # limit level resolving to a successor level at this min
-        return n
-    if alpha.is_limit:
-        step = fundamental_term(alpha, first).successor()
-        return _max_prefix(items, start, step)
-    j = alpha.finite_part
-    if (n - start) <= (1 << min(j, 40)):
-        # any set with min >= 2 and size <= 2^j lies at finite level j (split
-        # in halves recursively; two blocks always fit under min >= 2), and
-        # level j lies inside lambda + j for every lambda
-        return n
-    pred = alpha.predecessor()
-    pos = start
-    for _ in range(first):
-        if pos >= n:
-            break
-        pos = _max_prefix(items, pos, pred)
-    return pos
+    pos, level, k = start, alpha, per_min
+    stack = []  # [predecessor, blocks still to take] of each open level
+    while True:
+        # descend to the end of one level-`level` member prefix from pos
+        while pos < n:
+            first, rest = items[pos], n - pos
+            if level.is_zero or first == 1 and k == 1:
+                # a level-0 member, or a member containing 1, is one point
+                pos += 1
+                break
+            if rest <= k * first:
+                # at most k * first singletons: a member at every nonzero
+                # level, a limit level resolving to a successor level at this
+                # min
+                pos = n
+                break
+            if level.is_limit:
+                level = fundamental_term(level, first).successor()
+                continue
+            if rest <= k * first ** min(level.finite_part, rest.bit_length()):
+                # a set with min = first >= 2 and at most first^j points lies
+                # at finite level j (split it into at most `first` pieces of at
+                # most first^(j-1) points, each with min >= first, and
+                # recurse; k times as many points make k * first pieces), and
+                # level j lies inside lambda + j for every lambda; past the
+                # bit length of rest the power exceeds rest anyway
+                pos = n
+                break
+            level = level.predecessor()
+            stack.append([level, k * first - 1])
+            k = 1
+        # the block ends at pos: close every level that has taken its blocks
+        while stack and (not stack[-1][1] or pos >= n):
+            stack.pop()
+        if not stack:
+            return pos
+        stack[-1][1] -= 1
+        level = stack[-1][0]
 
 
 def _greedy_blocks(items: tuple, pred: Ordinal) -> list:
@@ -133,18 +149,14 @@ def _require_f_level(alpha: Ordinal):
         )
 
 
-def f_alpha_blocks(F, alpha: Ordinal):
-    """Greedy-maximal decomposition of F into blocks one level below alpha."""
-    _require_f_level(alpha)
-    return _greedy_blocks(check_index_set(F), alpha.predecessor())
-
-
 def f_alpha_member(F, alpha: Ordinal) -> bool:
-    """Membership in the relaxed family: block count at most twice the minimum."""
+    """Membership in the relaxed family: at most twice the minimum many
+    greedy blocks one level below alpha."""
     F = check_index_set(F)
     if not F:
         return True
-    return len(f_alpha_blocks(F, alpha)) <= 2 * F[0]
+    _require_f_level(alpha)
+    return _max_prefix(F, 0, alpha, 2) == len(F)
 
 
 def f_alpha_split(F, alpha: Ordinal):
@@ -159,7 +171,7 @@ def f_alpha_split(F, alpha: Ordinal):
         raise FamilyError(f"{F!r} is not a member of the relaxed family at {alpha}")
     if schreier_member(F, alpha):
         return F, ()
-    blocks = f_alpha_blocks(F, alpha)
+    blocks = _greedy_blocks(F, alpha.predecessor())
     s = (len(blocks) + 1) // 2
     first = tuple(x for b in blocks[:s] for x in b)
     second = tuple(x for b in blocks[s:] for x in b)
@@ -172,7 +184,8 @@ def tail_shift_find(alpha: Ordinal, beta: Ordinal, universe_bound: int, n_cap: i
     """Smallest N <= n_cap with E minus {1..N-1} at level beta for every level-alpha
     member E of the bounded universe; None when no such N exists below the cap.
 
-    This is a bounded verifier over the full powerset of [1..universe_bound].
+    This is a bounded verifier over every level-alpha member of
+    [1..universe_bound].
     """
     if not alpha < beta:
         raise FamilyError(f"need alpha < beta, got {alpha} and {beta}")
@@ -181,12 +194,8 @@ def tail_shift_find(alpha: Ordinal, beta: Ordinal, universe_bound: int, n_cap: i
             f"universe bound {universe_bound} exceeds the powerset scan cap "
             f"{POWERSET_SCAN_CAP}"
         )
-    universe = range(1, universe_bound + 1)
-    members = []
-    for size in range(universe_bound + 1):
-        for combo in combinations(universe, size):
-            if schreier_member(combo, alpha):
-                members.append(combo)
+    members = family_members_within(FamilyHandle.schreier(alpha),
+                                    range(1, universe_bound + 1), universe_bound)
     for n in range(1, n_cap + 1):
         if all(
             schreier_member(tuple(k for k in E if k >= n), beta) for E in members
@@ -292,6 +301,29 @@ class FamilyHandle:
         return E in self.members
 
 
+def family_members_within(family, pool, size_cap: int):
+    """All family members inside the pool with size <= size_cap, as a list
+    of sorted tuples, the empty set first: the one enumerator of members.
+
+    Hereditary families allow pruning: once a prefix leaves the family no
+    extension can return.
+    """
+    pool = tuple(sorted(pool))
+    out = [()] if size_cap >= 0 else []
+
+    def extend(prefix, start):
+        for j in range(start, len(pool)):
+            cand = prefix + (pool[j],)
+            if family.contains(cand):
+                out.append(cand)
+                if len(cand) < size_cap:
+                    extend(cand, j + 1)
+
+    if size_cap >= 1:
+        extend((), 0)
+    return out
+
+
 def family_subsets(handle: FamilyHandle, universe_bound: int, size_cap: int):
     """Yield every member within [1..universe_bound] of size <= size_cap.
 
@@ -302,8 +334,5 @@ def family_subsets(handle: FamilyHandle, universe_bound: int, size_cap: int):
             f"universe bound {universe_bound} exceeds the enumeration cap "
             f"{ENUMERATION_UNIVERSE_CAP}"
         )
-    universe = range(1, universe_bound + 1)
-    for size in range(min(size_cap, universe_bound) + 1):
-        for combo in combinations(universe, size):
-            if handle.contains(combo):
-                yield combo
+    members = family_members_within(handle, range(1, universe_bound + 1), size_cap)
+    yield from sorted(members, key=lambda E: (len(E), E))

@@ -2,6 +2,7 @@
 against: slow, simple, and independent of the code under test."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from greedylab.config import BudgetExceeded
@@ -93,6 +94,29 @@ def schreier_member_backtracking(E, alpha: Ordinal, _cache=None) -> bool:
         return res
 
     return member(E, alpha)
+
+
+def f_alpha_member_backtracking(F, alpha: Ordinal) -> bool:
+    """Reference oracle for the relaxed family: some split of F into at most
+    2 * min F successive pieces, each a backtracked member one level below
+    alpha."""
+    F = check_index_set(F)
+    if not F:
+        return True
+    pred = alpha.predecessor()
+    cache = {}
+
+    @lru_cache(maxsize=None)
+    def cover(pos, left):
+        if pos == len(F):
+            return True
+        return left > 0 and any(
+            schreier_member_backtracking(F[pos:end], pred, cache)
+            and cover(end, left - 1)
+            for end in range(pos + 1, len(F) + 1)
+        )
+
+    return cover(0, 2 * F[0])
 
 
 def _rah_block(alpha: Ordinal, stream, budget: int, used: int):

@@ -176,3 +176,22 @@ def test_cli_error_paths(capsys):
                  ("theorems", "check", "--space", "kt:N=0")):
         assert main(list(argv)) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_family_check_rejects_a_token_that_is_not_an_integer(capsys):
+    for bad in ("3,x", "3,,4", "2.5"):
+        assert main(["family", "check", "--family", "s:1", "--set", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not a comma-separated list")
+
+
+def test_family_check_at_a_deep_limit_level(capsys):
+    # w^5 at min 5 nests far more levels than the interpreter's recursion
+    # limit along the leftmost block; the walk keeps them on its own stack
+    code, out = run_cli(capsys, "family", "check", "--family", "s:w^5",
+                        "--set", ",".join(map(str, range(5, 505))))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["family"] == "s:w^5" and payload["member"] is True
+    assert payload["set"] == list(range(5, 505))

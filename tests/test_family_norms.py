@@ -239,6 +239,16 @@ def test_family_norm_searches_have_no_depth_limit():
     assert val == 1100 and minima == alternating.support
 
 
+def test_norms_at_the_deepest_levels():
+    # the support is a member, found by the walk on its own stack, so it is
+    # the witness and no DP cell is spent
+    x = SparseVector({i: (-1) ** i for i in range(5, 505)})
+    assert schreier_alpha_norm(x, parse_ordinal("w^5"),
+                               want_witness=True) == (500, x.support)
+    assert jamesification_norm(x, parse_ordinal("w^5+1"),
+                               want_witness=True) == (500, x.support)
+
+
 def test_budget_is_read_only_when_a_cell_is_spent(monkeypatch):
     reads = []
 

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from greedylab.ordinals import OMEGA, ONE, ZERO, parse_ordinal
 from greedylab.schreier import (FamilyError, FamilyHandle, f_alpha_member,
-                                f_alpha_split, family_subsets, min_level_find,
+                                f_alpha_split, family_members_within,
+                                family_subsets, min_level_find,
                                 schreier_decompose, schreier_maximal,
                                 schreier_member, tail_shift_find)
-from references import schreier_member_backtracking
+from references import f_alpha_member_backtracking, schreier_member_backtracking
 
 TWO = parse_ordinal("2")
 
@@ -78,12 +79,23 @@ def test_member_matches_backtracking(first, gaps):
 
 def test_member_at_a_deep_limit_level():
     # w*2 at min 5000 is w + 5001: both sets are decided by a shortcut (at
-    # most min singletons; at most 2^5001 points) instead of 5001 nested
-    # levels, which would pass the interpreter's recursion limit
+    # most min singletons; at most 5000^5001 points) instead of 5001 nested
+    # levels
     w2 = parse_ordinal("w*2")
     assert schreier_member((5000,), w2)
     assert schreier_member(tuple(range(5000, 11000)), w2)
     assert not schreier_member((1, 5000), w2)
+
+
+def test_member_at_the_deepest_levels():
+    # along the leftmost block these nest more levels than the interpreter's
+    # recursion limit allows; the walk keeps them on its own stack
+    w5 = parse_ordinal("w^5")
+    assert schreier_member(tuple(range(5, 505)), w5)
+    assert schreier_member(tuple(range(5, 20005)), w5)
+    deep = parse_ordinal("w^7*7")
+    for first in (2, 3, 5, 9):
+        assert schreier_member(tuple(range(first, first + 20000)), deep), first
 
 
 def test_maximal_examples():
@@ -130,11 +142,27 @@ def test_small_lemma_checks():
 def test_f_alpha_examples():
     assert f_alpha_member((2, 3, 4), ONE)
     assert not f_alpha_member((2, 3, 4, 5, 6), ONE)
+    assert f_alpha_member((), OMEGA)
+    # min 1 allows two blocks one level down: {1}, then a level-1 block
+    # from 2, which holds two points and no more
+    assert f_alpha_member((1, 2, 3), TWO)
+    assert not f_alpha_member((1, 2, 3, 4), TWO)
     rng = random.Random(3)
     for _ in range(300):
         E = tuple(sorted(rng.sample(range(1, 30), rng.randint(1, 8))))
         if schreier_member(E, TWO):
             assert f_alpha_member(E, TWO)
+
+
+F_LEVELS = [parse_ordinal(t) for t in ("1", "2", "3", "w+1", "w*2+1")]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.lists(st.integers(1, 3), max_size=13))
+def test_f_alpha_member_matches_backtracking(first, gaps):
+    F = tuple(accumulate([first] + gaps))
+    for alpha in F_LEVELS:
+        assert f_alpha_member(F, alpha) == f_alpha_member_backtracking(F, alpha), alpha
 
 
 def test_f_alpha_split_examples():
@@ -187,6 +215,22 @@ def test_family_subsets_examples():
     assert list(family_subsets(ps, 2, 2)) == [(), (1,), (2,), (1, 2)]
     s0 = FamilyHandle.parse("s:0")
     assert list(family_subsets(s0, 3, 3)) == [(), (1,), (2,), (3,)]
+
+
+HANDLES = [FamilyHandle.powerset()] + [
+    FamilyHandle.parse(t) for t in ("s:0", "s:2", "s:w", "f:1")] + [
+    FamilyHandle.explicit([(), (2,), (3,), (5,), (2, 3), (2, 5), (3, 5), (2, 3, 5)])]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.sampled_from(HANDLES), st.sets(st.integers(1, 12), max_size=10),
+       st.integers(-1, 6))
+def test_members_within_matches_a_filter_of_every_subset(handle, pool, size_cap):
+    got = family_members_within(handle, pool, size_cap)
+    expected = [A for size in range(size_cap + 1)
+                for A in combinations(sorted(pool), size) if handle.contains(A)]
+    assert got[:1] == expected[:1]  # the empty set first
+    assert sorted(got) == sorted(expected)
 
 
 def test_family_handle_parse_label():
