@@ -3,9 +3,11 @@
 Three evaluators live here: the family sup norm (best weighted member of a
 level-alpha family), the interval-system norm whose interval minima must form
 a relaxed-family member, and the weighted truncated norm driven by a generated
-family of weight blocks.  All three are exact when fed int/Fraction payloads.
-The first two share one driver, `_exact`, which scales the payload to ints and
-divides the optimum, or a refusal's attained value, back into its units.
+family of weight blocks.  All three are exact when fed int/Fraction payloads,
+which all three run as ints scaled by `_as_ints`.  The first two share one
+driver, `_exact`, which divides the optimum, or a refusal's attained value,
+back into the payload's units; the weighted norm compares its blocks by
+cross-multiplying and divides only the winner back.
 """
 
 from __future__ import annotations
@@ -505,29 +507,49 @@ def naive_james_norm(x: SparseVector, alpha: Ordinal = ONE):
 
 def weighted_schreier_norm(x: SparseVector, family, want_witness=False):
     """Evaluate the truncated weighted norm against `family.blocks`, weight
-    blocks exposing weight_at and min_index.
+    blocks exposing `level`, `start` (= min F) and `runs_of`.
+
+    Run n of a block weighs 1/(start^(level+1) * 2^(n-1)), so min F * sum
+    w_i |x_i| is acc / (start^level * 2^(top-1)), top the last run touched,
+    where acc shifts left as the run number grows and adds |x_i| in index
+    order.  Exact payloads run on ints scaled by `_as_ints`, blocks compared
+    by cross-multiplying; float payloads add w * |x_i| in index order, w
+    computed once per run by int true division, as float(Fraction) does.
 
     `want_witness` adds a norming functional: min F times the signed weights
     of x's support in the best block F, else sign(x_n) e_n at a largest |x_n|.
     """
+    mags = {i: abs(v) for i, v in x.entries.items()}
+    best = max(mags.values(), default=0)  # the sup part, as x.inf_norm()
     float_mode = x.has_float_payload()
-    best = x.inf_norm()
     if float_mode:
         best = float(best)
+    else:
+        best_num, best_den = best.as_integer_ratio()
+        mags, D = _as_ints(mags)
     best_block = None
     for block in family.blocks:
-        acc = 0
-        for i, v in x.entries.items():
-            w = block.weight_at(i)
-            if w is None:
-                continue
-            acc += (float(w) * abs(v)) if float_mode else (w * abs(v))
+        acc = top = 0
+        for n, _, v in block.runs_of(mags):
+            if n != top:
+                if float_mode:
+                    w = 1 / (block.start ** (block.level + 1) << (n - 1))
+                else:
+                    acc <<= n - top
+                top = n
+            acc += w * v if float_mode else v
         if not acc:  # nothing to weigh: leave the block's (maybe wide) start unread
             continue
-        val = block.min_index * acc
-        if val > best:
-            best = val
-            best_block = block
+        if float_mode:
+            val = block.start * acc
+            if val > best:
+                best, best_block = val, block
+            continue
+        den = (D or 1) * block.start ** block.level << (top - 1)
+        if acc * best_den > best_num * den:
+            best_num, best_den, best_block = acc, den, block
+    if not float_mode and best_block is not None:
+        best = Fraction(best_num, best_den)
     if not want_witness:
         return best
     f = {}
@@ -536,10 +558,10 @@ def weighted_schreier_norm(x: SparseVector, family, want_witness=False):
             top = max(x.entries, key=lambda i: abs(x.entries[i]))
             f[top] = 1 if x.entries[top] > 0 else -1
     else:
-        lo = best_block.min_index
-        for i, v in x.entries.items():
-            w = best_block.weight_at(i)
-            if w is not None:
-                w = lo * w if v > 0 else -lo * w
-                f[i] = float(w) if float_mode else w
+        scale, top = best_block.start ** best_block.level, 0
+        for n, i, v in best_block.runs_of(x.entries):
+            if n != top:
+                top = n
+                w = 1 / (scale << (n - 1)) if float_mode else Fraction(1, scale << (n - 1))
+            f[i] = w if v > 0 else -w
     return best, SparseVector(f)

@@ -45,6 +45,13 @@ class Ordinal:
             prev = e
 
     @classmethod
+    def _of(cls, terms: tuple) -> "Ordinal":
+        """An ordinal on terms in normal form by construction, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
     def from_int(cls, n: int) -> "Ordinal":
         if not isinstance(n, int) or n < 0:
             raise OrdinalError(f"not a natural number: {n!r}")
@@ -72,7 +79,7 @@ class Ordinal:
             raise OrdinalError(f"{self} is not a successor ordinal")
         e, c = self.terms[-1]
         rest = self.terms[:-1]
-        return Ordinal(rest + ((0, c - 1),)) if c > 1 else Ordinal(rest)
+        return Ordinal._of(rest + ((0, c - 1),) if c > 1 else rest)
 
     def successor(self) -> "Ordinal":
         return self.plus(1)
@@ -85,8 +92,8 @@ class Ordinal:
             return self
         if self.terms and self.terms[-1][0] == 0:
             e, c = self.terms[-1]
-            return Ordinal(self.terms[:-1] + ((0, c + n),))
-        return Ordinal(self.terms + ((0, n),))
+            return Ordinal._of(self.terms[:-1] + ((0, c + n),))
+        return Ordinal._of(self.terms + ((0, n),))
 
     def natural_value(self):
         """The integer value when the ordinal is finite, else None."""
@@ -182,4 +189,4 @@ def fundamental_term(a: Ordinal, m: int) -> Ordinal:
         raise OrdinalError(f"sequence position must be a positive integer, got {m!r}")
     e, c = a.terms[-1]
     head = a.terms[:-1] + (((e, c - 1),) if c > 1 else ())
-    return Ordinal(head + ((e - 1, m),))
+    return Ordinal._of(head + ((e - 1, m),))

@@ -48,7 +48,7 @@ class IndexStream:
             raise FamilyError("tail must start at a positive integer")
         prev = 0
         for k in self.prefix:
-            if not isinstance(k, int) or k <= prev:
+            if not isinstance(k, int) or isinstance(k, bool) or k <= prev:
                 raise FamilyError(f"prefix must be strictly increasing, got {self.prefix!r}")
             prev = k
         if self.prefix and self.prefix[-1] >= self.tail_start:
@@ -160,7 +160,7 @@ def rah_sequence(alpha: Ordinal, stream: IndexStream, count: int,
                 f"blocks)",
                 attained=out,
             ) from None
-        out.append(SparseVector(entries))
+        out.append(SparseVector._of(entries))  # increasing leaves, each 1/den
     return out
 
 
@@ -427,14 +427,11 @@ class GeometricBlock:
         """(num, p, e): the n-th run's weight is num / (start^p * 2^e)."""
         return 1, self.level + 1, n - 1
 
-    def _weight(self, n: int) -> Fraction:
-        num, p, e = self.run_weight(n)
-        return Fraction(num, self.start ** p << e)
-
     def run(self, n: int):
         """(lo, hi, weight) of the n-th run, 1-based, expanded."""
         lo, hi = self.run_bounds(n)
-        return int(lo), int(hi), self._weight(n)
+        num, p, e = self.run_weight(n)
+        return int(lo), int(hi), Fraction(num, self.start ** p << e)
 
     def _run_containing(self, i):
         """Number n of the range [start*2^(n-1), start*2^n - 1] holding i,
@@ -447,12 +444,27 @@ class GeometricBlock:
         n = i.bit_length() - form.bit_length() + 1
         return n if i >= form << (n - 1) else n - 1
 
-    def weight_at(self, i: int):
-        n = self._run_containing(i)
-        # past the start, expanding it costs no more than i itself
-        if n == 0 or n > (1 if self.level == 0 else self.start):
-            return None
-        return self._weight(n)
+    def runs_of(self, entries):
+        """(run number, index, value) of the entries of a dict sorted by
+        index that lie inside the block.  Run numbers never fall as the index
+        grows, so the first past `run_count` (the start, at level 1) ends the
+        walk; that count is read only once a point lies at or past the
+        start, so a block above every point stays unexpanded."""
+        form = self.start_form
+        shift, head = form.shift, form.head
+        if not entries or not (next(reversed(entries)) >> shift) // head:
+            return
+        top = 0
+        for i, v in entries.items():
+            n = ((i >> shift) // head).bit_length()  # as _run_containing
+            if n > top:
+                if not top:
+                    cap = int(self.run_count)
+                if n > cap:
+                    return
+                top = n
+            if n:
+                yield n, i, v
 
     def max_index(self) -> ShiftedInt:
         exponent = 1 if self.level == 0 else _checked_exponent(self.start_form)

@@ -76,6 +76,14 @@ class SparseVector:
         self.entries = data if ordered else dict(sorted(data.items()))
 
     @classmethod
+    def _of(cls, entries: dict) -> "SparseVector":
+        """A vector holding `entries`, already valid (int indices >= 1 in
+        increasing order, nonzero non-NaN values), unchecked and uncopied."""
+        self = object.__new__(cls)
+        self.entries = entries
+        return self
+
+    @classmethod
     def basis(cls, n: int, coeff=1.0) -> "SparseVector":
         return cls({n: coeff})
 
@@ -152,11 +160,11 @@ class SparseVector:
 
     def restrict(self, indices) -> "SparseVector":
         keep = set(indices)
-        return SparseVector({i: v for i, v in self.entries.items() if i in keep})
+        return SparseVector._of({i: v for i, v in self.entries.items() if i in keep})
 
     def drop(self, indices) -> "SparseVector":
         gone = set(indices)
-        return SparseVector({i: v for i, v in self.entries.items() if i not in gone})
+        return SparseVector._of({i: v for i, v in self.entries.items() if i not in gone})
 
     def scale(self, c) -> "SparseVector":
         return SparseVector({i: c * v for i, v in self.entries.items()})

@@ -163,3 +163,57 @@ def rah_sequence_recursive(alpha: Ordinal, stream, count: int, budget: int):
         out.append(vec)
         cur = stream.advance_past(vec.max_index())
     return out
+
+
+def block_weight_at(block, i):
+    """The weight of index i in a weight block, None outside it: walks the
+    runs from the first, comparing i with their bounds as ShiftedInt forms,
+    so an index below the start leaves the start unexpanded."""
+    n = 1
+    while n <= block.run_count:
+        lo, hi = block.run_bounds(n)
+        if i < lo:
+            return None
+        if i <= hi:
+            num, p, e = block.run_weight(n)
+            return Fraction(num, block.start ** p << e)
+        n += 1
+    return None
+
+
+def weighted_norm_pointwise(x: SparseVector, family, want_witness=False):
+    """Reference evaluator of the truncated weighted norm: one Fraction
+    weight, multiply and add per block and support point."""
+    float_mode = x.has_float_payload()
+    best = x.inf_norm()
+    if float_mode:
+        best = float(best)
+    best_block = None
+    for block in family.blocks:
+        acc = 0
+        for i, v in x.entries.items():
+            w = block_weight_at(block, i)
+            if w is None:
+                continue
+            acc += (float(w) * abs(v)) if float_mode else (w * abs(v))
+        if not acc:
+            continue
+        val = block.min_index * acc
+        if val > best:
+            best = val
+            best_block = block
+    if not want_witness:
+        return best
+    f = {}
+    if best_block is None:
+        if x.entries:
+            top = max(x.entries, key=lambda i: abs(x.entries[i]))
+            f[top] = 1 if x.entries[top] > 0 else -1
+    else:
+        lo = best_block.min_index
+        for i, v in x.entries.items():
+            w = block_weight_at(best_block, i)
+            if w is not None:
+                w = lo * w if v > 0 else -lo * w
+                f[i] = float(w) if float_mode else w
+    return best, SparseVector(f)

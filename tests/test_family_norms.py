@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,8 @@ from greedylab.ordinals import OMEGA, ONE, ZERO, parse_ordinal
 from greedylab.rah import make_weight_family
 from greedylab.schreier import f_alpha_member, schreier_member
 from greedylab.vectors import SparseVector
+
+from references import weighted_norm_pointwise
 
 TWO = parse_ordinal("2")
 SUP_LEVELS = tuple(parse_ordinal(t) for t in ("0", "1", "2", "3", "w", "w+1", "w*2"))
@@ -417,3 +420,71 @@ def test_weighted_norm_explicit_family():
     assert weighted_schreier_norm(SparseVector.indicator([3, 4, 5], 1), fam) == 3
     assert weighted_schreier_norm(SparseVector.indicator(range(6, 12), 1), fam) == 6
     assert weighted_schreier_norm(SparseVector(), fam) == 0
+
+
+def _near_boundaries(family):
+    points = set()
+    for block in family.blocks:
+        if block.start_form.bit_length() > 40:
+            continue
+        start = int(block.start_form)
+        for k in (0, 1, 2, 3, 5, 12, 31):
+            points.update(range((start << k) - 2, (start << k) + 3))
+    return sorted(p for p in points if p >= 1)
+
+
+# families with the points around their block starts and run boundaries; the
+# fourth block of the last starts at a 402,653,213-bit index, past every point
+_WEIGHT_FAMILIES = tuple(
+    (family, _near_boundaries(family))
+    for family in (make_weight_family(ZERO, 3, 2), make_weight_family(ZERO, 2, 6),
+                   make_weight_family(ONE, 2, 2), make_weight_family(ONE, 4, 2)))
+
+_payloads = {
+    "int": st.integers(-60, 60).filter(bool),
+    "fraction": st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool),
+    "float": st.one_of(st.floats(0.5, 2), st.floats(-2, -0.5)),
+}
+_payloads["mixed"] = st.one_of(*_payloads.values())
+_payloads["wide float"] = st.floats(min_value=-1e300, max_value=1e300).filter(bool)
+
+
+@st.composite
+def _weighted_cases(draw):
+    family, near = draw(st.sampled_from(_WEIGHT_FAMILIES))
+    values = _payloads[draw(st.sampled_from(sorted(_payloads)))]
+    entries = {i: draw(values) for i in draw(st.lists(st.sampled_from(near), max_size=8))}
+    # a run of consecutive points dense enough for a block to beat the sup
+    # part, its values picked from a few drawn ones
+    lo, size = draw(st.sampled_from(near)), draw(st.integers(0, 100))
+    pool = draw(st.lists(values, min_size=1, max_size=6))
+    rnd = draw(st.randoms(use_true_random=False))
+    entries.update((i, rnd.choice(pool)) for i in range(lo, lo + size))
+    return family, SparseVector(entries)
+
+
+def _same(a, b):
+    if type(a) is not type(b) or a != b:
+        return False
+    return not isinstance(a, float) or math.copysign(1, a) == math.copysign(1, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_weighted_cases())
+def test_weighted_norm_matches_the_pointwise_reference(case):
+    family, x = case
+    value, f = weighted_schreier_norm(x, family, want_witness=True)
+    ref_value, ref_f = weighted_norm_pointwise(x, family, want_witness=True)
+    assert _same(value, ref_value)
+    assert _same(weighted_schreier_norm(x, family), ref_value)
+    assert list(f.entries) == list(ref_f.entries)
+    assert all(_same(f.entries[i], ref_f.entries[i]) for i in f.entries)
+
+
+def test_weighted_norm_leaves_an_unreached_start_unexpanded():
+    family = make_weight_family(ONE, 4, 2)
+    last = family.blocks[3]
+    x = SparseVector({3: 1, 24: Fraction(1, 2), 402653184: 5, 10 ** 18: 2})
+    assert weighted_schreier_norm(x, family, want_witness=True)[0] == 5
+    assert weighted_schreier_norm(x.scale(0.5), family) == 2.5
+    assert "start" not in last.__dict__

@@ -16,7 +16,7 @@ from greedylab.rah import (GeometricBlock, IndexStream, ShiftedInt,
                            weight_family_certificates)
 from greedylab.schreier import FamilyError, schreier_maximal
 from greedylab.vectors import SparseVector
-from references import rah_sequence_recursive
+from references import block_weight_at, rah_sequence_recursive
 
 TWO = parse_ordinal("2")
 
@@ -31,6 +31,8 @@ def test_stream_basics():
     assert t.advance_past(4).first(2) == (5, 9)
     with pytest.raises(FamilyError):
         IndexStream((5, 3), 9)
+    with pytest.raises(FamilyError):  # the builders trust stream elements as indices
+        IndexStream((True, 3), 9)
 
 
 def test_level_zero_and_one_examples():
@@ -340,7 +342,7 @@ def test_interval_mass_compare_matches_fraction_arithmetic():
     block = GeometricBlock(1, 3)
     for lo in range(1, 26):
         for hi in range(lo - 1, 26):
-            weights = (block.weight_at(i) for i in range(lo, hi + 1))
+            weights = (block_weight_at(block, i) for i in range(lo, hi + 1))
             expected = 3 * sum(w for w in weights if w is not None)
             assert _fraction(*block.interval_mass_compare(lo, hi)) == expected
 

@@ -101,3 +101,20 @@ def test_support_ends():
     x = SparseVector([(7, 1.0), (2, -1), (40, Fraction(1, 3))])
     assert (x.min_index(), x.max_index()) == (2, 40)
     assert SparseVector().min_index() == SparseVector().max_index() == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 40), _VALUES), max_size=15),
+       st.lists(st.integers(0, 45), max_size=10))
+def test_drop_and_restrict_match_the_checked_constructor(pairs, picked):
+    # both keep entries as they stand; the result is what the validating
+    # constructor makes of the same subset, in the same order
+    x = SparseVector(pairs)
+    keep = set(picked)
+    for got, kept in ((x.restrict(picked), lambda i: i in keep),
+                      (x.drop(picked), lambda i: i not in keep)):
+        want = SparseVector({i: v for i, v in x.entries.items() if kept(i)})
+        assert list(got.entries.items()) == list(want.entries.items())
+        assert [type(v) for v in got.entries.values()] == \
+            [type(v) for v in want.entries.values()]
+    assert x.drop(()) == x and x.restrict(()).is_zero
