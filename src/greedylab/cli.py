@@ -123,13 +123,8 @@ def _cmd_rah_build(args):
 
 
 def _rah_payload(args, vecs, budget_error=None):
-    blocks = []
-    for v in vecs:
-        blocks.append({
-            "support": [v.min_index(), v.max_index()],
-            "coeffs": [{"num": a.numerator, "den": a.denominator}
-                       for _, a in v.items()],
-        })
+    blocks = [{"support": [v.min_index(), v.max_index()],
+               "coeffs": list(v.entries.values())} for v in vecs]
     payload = {"alpha": args.alpha, "M_min": args.min, "blocks": blocks,
                "certificates": {
                    "l1_mass_one": all(v.l1_norm() == 1 for v in vecs),

@@ -18,7 +18,7 @@ from itertools import accumulate, combinations, product
 from operator import sub
 
 from .config import BudgetExceeded, node_budget
-from .ordinals import ONE, Ordinal, fundamental_term
+from .ordinals import ONE, ZERO, Ordinal, fundamental_term
 from .schreier import FamilyError, _max_prefix, f_alpha_member, schreier_member
 from .vectors import SparseVector, over_one_denominator
 
@@ -552,16 +552,13 @@ def weighted_schreier_norm(x: SparseVector, family, want_witness=False):
         best = Fraction(best_num, best_den)
     if not want_witness:
         return best
-    f = {}
     if best_block is None:  # the sup part attains it: a largest entry's sign
-        if x.entries:
-            top = max(x.entries, key=lambda i: abs(x.entries[i]))
-            f[top] = 1 if x.entries[top] > 0 else -1
-    else:
-        scale, top = best_block.start ** best_block.level, 0
-        for n, i, v in best_block.runs_of(x.entries):
-            if n != top:
-                top = n
-                w = 1 / (scale << (n - 1)) if float_mode else Fraction(1, scale << (n - 1))
-            f[i] = w if v > 0 else -w
+        return best, sup_functional(x, ZERO)[1]
+    f = {}
+    scale, top = best_block.start ** best_block.level, 0
+    for n, i, v in best_block.runs_of(x.entries):
+        if n != top:
+            top = n
+            w = 1 / (scale << (n - 1)) if float_mode else Fraction(1, scale << (n - 1))
+        f[i] = w if v > 0 else -w
     return best, SparseVector(f)

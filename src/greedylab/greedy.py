@@ -746,7 +746,7 @@ def theorem_suite(oracle, family, spec: TheoremSuiteSpec) -> dict:
         bad = None
         hi = min(oracle.dimension_cap, 64)
         for _ in range(spec.sign_sets):
-            size = rng.randint(1, spec.sign_set_size)
+            size = min(rng.randint(1, spec.sign_set_size), hi)
             A = tuple(sorted(rng.sample(range(1, hi + 1), size)))
             base = oracle.norm(SparseVector.indicator(A, 1.0))
             for signs in product((-1.0, 1.0), repeat=size):

@@ -64,7 +64,10 @@ def _check_ordinal(raw):
 def parse_config(path) -> ExperimentSpec:
     """Parse the flat `key = value` format; unknown keys and bad values are
     rejected with their line number."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read the config: {exc}") from None
     experiment = None
     seed = 0
     raw_params = {}

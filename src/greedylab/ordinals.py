@@ -17,6 +17,11 @@ class OrdinalError(ValueError):
     """Malformed ordinal data or an out-of-range operation."""
 
 
+def _is_natural(n) -> bool:
+    """A natural number: an int >= 0 that is not a bool."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
 @total_ordering
 @dataclass(frozen=True)
 class Ordinal:
@@ -34,9 +39,7 @@ class Ordinal:
             if not isinstance(term, tuple) or len(term) != 2:
                 raise OrdinalError(f"bad term {term!r}")
             e, c = term
-            if not isinstance(e, int) or not isinstance(c, int):
-                raise OrdinalError(f"bad term {term!r}")
-            if e < 0 or c < 1:
+            if not (_is_natural(e) and _is_natural(c)) or c < 1:
                 raise OrdinalError(f"bad term {term!r}")
             if e >= EXPONENT_CAP:
                 raise OrdinalError(f"exponent {e} exceeds cap {EXPONENT_CAP}")
@@ -53,7 +56,7 @@ class Ordinal:
 
     @classmethod
     def from_int(cls, n: int) -> "Ordinal":
-        if not isinstance(n, int) or n < 0:
+        if not _is_natural(n):
             raise OrdinalError(f"not a natural number: {n!r}")
         return cls(((0, n),)) if n else cls()
 
@@ -86,7 +89,7 @@ class Ordinal:
 
     def plus(self, n: int) -> "Ordinal":
         """Ordinal plus a natural number (right addition)."""
-        if not isinstance(n, int) or n < 0:
+        if not _is_natural(n):
             raise OrdinalError(f"not a natural number: {n!r}")
         if n == 0:
             return self

@@ -22,7 +22,7 @@ from itertools import chain
 from .config import BudgetExceeded, support_budget
 from .family_norms import schreier_alpha_norm
 from .ordinals import ONE, Ordinal, fundamental_term
-from .schreier import FamilyError
+from .schreier import FamilyError, check_index_set
 from .vectors import SparseVector
 
 # largest bit count we are willing to materialize for a block endpoint
@@ -46,11 +46,7 @@ class IndexStream:
     def __post_init__(self):
         if self.tail_start < 1:
             raise FamilyError("tail must start at a positive integer")
-        prev = 0
-        for k in self.prefix:
-            if not isinstance(k, int) or isinstance(k, bool) or k <= prev:
-                raise FamilyError(f"prefix must be strictly increasing, got {self.prefix!r}")
-            prev = k
+        check_index_set(self.prefix)
         if self.prefix and self.prefix[-1] >= self.tail_start:
             raise FamilyError("prefix must sit strictly below the tail")
 
@@ -409,10 +405,6 @@ class GeometricBlock:
         return int(self.start_form)
 
     @property
-    def min_index(self) -> int:
-        return self.start
-
-    @property
     def run_count(self):
         return 1 if self.level == 0 else self.start_form
 
@@ -435,12 +427,9 @@ class GeometricBlock:
 
     def _run_containing(self, i):
         """Number n of the range [start*2^(n-1), start*2^n - 1] holding i,
-        an int or a form at or past the start: 0 below the start, above
-        run_count past the block.  Neither branch expands a wide operand."""
+        an int or a form at or past the start, above run_count past the
+        block; bit lengths and one comparison, no wide operand expanded."""
         form = self.start_form
-        if isinstance(i, int):
-            # the bit length of i // start; the canonical form has no offset
-            return ((i >> form.shift) // form.head).bit_length()
         n = i.bit_length() - form.bit_length() + 1
         return n if i >= form << (n - 1) else n - 1
 
@@ -456,7 +445,7 @@ class GeometricBlock:
             return
         top = 0
         for i, v in entries.items():
-            n = ((i >> shift) // head).bit_length()  # as _run_containing
+            n = ((i >> shift) // head).bit_length()  # bit length of i // start
             if n > top:
                 if not top:
                     cap = int(self.run_count)
@@ -505,17 +494,15 @@ class GeometricBlock:
         return Fraction(1)
 
     def to_sparse(self) -> SparseVector:
-        """Materialize the weight vector (small blocks only)."""
+        """Materialize the weight vector (small blocks only): the first
+        level-(level+1) average on the consecutive tail from the start."""
         if self.level == 1 and self.start_form > 16:
             raise RangeNotMaterializable(
                 f"refusing to materialize a level-1 block of start {self.start}"
             )
-        entries = {}
-        for n in range(1, self.run_count + 1):
-            lo, hi, w = self.run(n)
-            for i in range(lo, hi + 1):
-                entries[i] = w
-        return SparseVector(entries)
+        return rah_vector(Ordinal.from_int(self.level + 1),
+                          IndexStream.naturals(self.start), 1,
+                          max_support=int(self.size()))
 
     def interval_mass_compare(self, lo, hi):
         """(numerator, denominator) of min * sum of weights over [lo, hi],

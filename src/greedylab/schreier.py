@@ -86,11 +86,17 @@ def _max_prefix(items: tuple, start: int, alpha: Ordinal, per_min: int = 1) -> i
         level = stack[-1][0]
 
 
-def _greedy_blocks(items: tuple, pred: Ordinal) -> list:
-    """Cut items into consecutive greedy-maximal blocks at level pred."""
+def _greedy_blocks(items: tuple, pred: Ordinal, cap: int) -> list:
+    """Cut items into consecutive greedy-maximal blocks at level pred,
+    stopping once there are more than cap of them.
+
+    A nonempty set lies at the successor of pred exactly when it makes at
+    most min-many blocks, in the relaxed family at most twice min-many: the
+    rule `_max_prefix` applies at its top level.
+    """
     blocks = []
     pos = 0
-    while pos < len(items):
+    while pos < len(items) and len(blocks) <= cap:
         end = _max_prefix(items, pos, pred)
         blocks.append(items[pos:end])
         pos = end
@@ -120,11 +126,8 @@ def schreier_decompose(E, alpha: Ordinal):
         )
     if not E:
         return []
-    if not schreier_member(E, alpha):
-        return None
-    blocks = _greedy_blocks(E, alpha.predecessor())
-    assert len(blocks) <= E[0]
-    return blocks
+    blocks = _greedy_blocks(E, alpha.predecessor(), E[0])
+    return blocks if len(blocks) <= E[0] else None
 
 
 def schreier_maximal(E, alpha: Ordinal, universe_bound: int) -> bool:
@@ -167,11 +170,14 @@ def f_alpha_split(F, alpha: Ordinal):
     under their own minimum.
     """
     F = check_index_set(F)
-    if not f_alpha_member(F, alpha):
+    if not F:
+        return (), ()
+    _require_f_level(alpha)
+    blocks = _greedy_blocks(F, alpha.predecessor(), 2 * F[0])
+    if len(blocks) > 2 * F[0]:
         raise FamilyError(f"{F!r} is not a member of the relaxed family at {alpha}")
-    if schreier_member(F, alpha):
+    if len(blocks) <= F[0]:
         return F, ()
-    blocks = _greedy_blocks(F, alpha.predecessor())
     s = (len(blocks) + 1) // 2
     first = tuple(x for b in blocks[:s] for x in b)
     second = tuple(x for b in blocks[s:] for x in b)
@@ -291,14 +297,12 @@ class FamilyHandle:
         return f"explicit[{len(self.members)}]"
 
     def contains(self, E) -> bool:
-        E = check_index_set(E)
-        if self.kind == "powerset":
-            return True
         if self.kind == "schreier":
             return schreier_member(E, self.alpha)
         if self.kind == "f_alpha":
             return f_alpha_member(E, self.alpha)
-        return E in self.members
+        E = check_index_set(E)
+        return self.kind == "powerset" or E in self.members
 
 
 def family_members_within(family, pool, size_cap: int):

@@ -8,7 +8,7 @@ evaluators share one container.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 
 
 class VectorError(ValueError):
@@ -16,19 +16,21 @@ class VectorError(ValueError):
 
 
 def _parse_scalar(token: str):
+    """An int, a Fraction `p/q` or a finite float; any other token, a zero
+    denominator included, is a bad coefficient."""
     token = token.strip()
-    if "/" in token:
-        return Fraction(token)
     try:
-        as_int = int(token)
-    except ValueError:
-        pass
-    else:
-        return as_int
-    try:
-        return float(token)
-    except ValueError as exc:
+        if "/" in token:
+            return Fraction(token)
+        try:
+            return int(token)
+        except ValueError:
+            value = float(token)
+    except (ValueError, ZeroDivisionError) as exc:
         raise VectorError(f"bad coefficient {token!r}") from exc
+    if not isfinite(value):
+        raise VectorError(f"bad coefficient {token!r}: NaN or infinite")
+    return value
 
 
 def _format_scalar(value) -> str:
@@ -113,6 +115,8 @@ class SparseVector:
                 idx = int(idx_s.strip())
             except ValueError as exc:
                 raise VectorError(f"bad index {idx_s!r}") from exc
+            if idx in entries:
+                raise VectorError(f"repeated index {idx}")
             entries[idx] = _parse_scalar(val_s)
         return cls(entries)
 

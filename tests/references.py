@@ -181,6 +181,17 @@ def block_weight_at(block, i):
     return None
 
 
+def weight_block_by_runs(block) -> SparseVector:
+    """Reference materialisation of a weight block: every index of every
+    run with the run's expanded weight, run by run."""
+    entries = {}
+    for n in range(1, block.run_count + 1):
+        lo, hi, w = block.run(n)
+        for i in range(lo, hi + 1):
+            entries[i] = w
+    return SparseVector(entries)
+
+
 def weighted_norm_pointwise(x: SparseVector, family, want_witness=False):
     """Reference evaluator of the truncated weighted norm: one Fraction
     weight, multiply and add per block and support point."""
@@ -198,7 +209,7 @@ def weighted_norm_pointwise(x: SparseVector, family, want_witness=False):
             acc += (float(w) * abs(v)) if float_mode else (w * abs(v))
         if not acc:
             continue
-        val = block.min_index * acc
+        val = block.start * acc
         if val > best:
             best = val
             best_block = block
@@ -210,7 +221,7 @@ def weighted_norm_pointwise(x: SparseVector, family, want_witness=False):
             top = max(x.entries, key=lambda i: abs(x.entries[i]))
             f[top] = 1 if x.entries[top] > 0 else -1
     else:
-        lo = best_block.min_index
+        lo = best_block.start
         for i, v in x.entries.items():
             w = block_weight_at(best_block, i)
             if w is not None:

@@ -289,7 +289,7 @@ def test_c11_weighted_space_claims():
     for block in family.blocks:
         # min * total mass; the mass identity is re-derived run by run for
         # every block whose run list is enumerable
-        if block.min_index * block.mass() != block.min_index:
+        if block.start * block.mass() != block.start:
             indicator_ok = False
         if block.run_count <= 4096:
             run_sum = sum((hi - lo + 1) * w

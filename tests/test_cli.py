@@ -162,7 +162,7 @@ def test_repro_and_list(capsys, tmp_path):
     assert "repro-parity" in out
 
 
-def test_cli_error_paths(capsys):
+def test_cli_error_paths(capsys, tmp_path):
     code, _ = run_cli(capsys, "family", "check", "--family", "nope:1",
                       "--set", "1")
     assert code == 2
@@ -173,9 +173,15 @@ def test_cli_error_paths(capsys):
                  ("constants", "estimate", "--space", "parity", "--family",
                   "s:1", "--name", "Zz"),
                  ("tga", "run", "--space", "parity", "--vec", "1:1", "--m", "-1"),
-                 ("theorems", "check", "--space", "kt:N=0")):
+                 ("theorems", "check", "--space", "kt:N=0"),
+                 # malformed vectors and a missing config ended in a
+                 # traceback and exit code 1, or were accepted
+                 *(("norm", "eval", "--space", "parity", "--vec", vec)
+                   for vec in ("1:1/0", "1:x/2", "1:inf", "1:1,1:2")),
+                 ("repro", "--config", str(tmp_path / "no" / "such.cfg"))):
         assert main(list(argv)) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_family_check_rejects_a_token_that_is_not_an_integer(capsys):

@@ -723,3 +723,12 @@ def test_theorem_suite_james_certified():
     assert by_name["sign-flip-comparability"]["status"] == "PASS"
     assert by_name["grid-constant-equality"]["status"] == "PASS"
     assert by_name["greedy-ratio-recorded"]["status"] == "RECORDED"
+
+
+def test_theorem_suite_sign_sets_fit_a_small_space():
+    # kt:N=2 has 3 coordinates; sign sets of up to 8 points raised
+    # "Sample larger than population"
+    kt = make_space("kt:N=2")
+    report = theorem_suite(kt, S1, TheoremSuiteSpec(samples=5, certified={"Cl": 1.0}))
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["sign-flip-comparability"]["status"] == "PASS"

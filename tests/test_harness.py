@@ -140,3 +140,11 @@ def test_run_l2sum_default_spec_golden(tmp_path):
 def test_unknown_experiment_rejected(tmp_path):
     with pytest.raises(ConfigError):
         run_experiment(ExperimentSpec("repro-nope", {}), tmp_path)
+
+
+def test_missing_config_is_a_config_error(tmp_path):
+    # a FileNotFoundError escaped before
+    with pytest.raises(ConfigError, match="cannot read the config"):
+        parse_config(tmp_path / "no_such.cfg")
+    with pytest.raises(ConfigError):
+        parse_config(tmp_path)  # a directory

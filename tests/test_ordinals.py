@@ -87,3 +87,12 @@ def test_parse_rejects_garbage():
 def test_exponent_cap_enforced():
     with pytest.raises(OrdinalError):
         Ordinal(((8, 1),))
+
+
+def test_bool_is_not_a_natural():
+    # True once made Ordinal('True'), whose text does not parse back
+    for make in (lambda: Ordinal.from_int(True), lambda: OMEGA.plus(False),
+                 lambda: Ordinal(((0, True),)), lambda: Ordinal(((True, 2),))):
+        with pytest.raises(OrdinalError):
+            make()
+    assert Ordinal.from_int(1).plus(0) == parse_ordinal("1")

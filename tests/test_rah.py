@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from greedylab.config import BudgetExceeded
 from greedylab.family_norms import schreier_alpha_norm, weighted_schreier_norm
 from greedylab.ordinals import OMEGA, ONE, ZERO, parse_ordinal
-from greedylab.rah import (GeometricBlock, IndexStream, ShiftedInt,
+from greedylab.rah import (GeometricBlock, IndexStream,
+                           RangeNotMaterializable, ShiftedInt,
                            WeightFamily, democracy_growth_table,
                            int_descriptor, make_weight_family,
                            rah_schreier_bound_search, rah_sequence, rah_vector,
                            weight_family_certificates)
 from greedylab.schreier import FamilyError, schreier_maximal
 from greedylab.vectors import SparseVector
-from references import block_weight_at, rah_sequence_recursive
+from references import (block_weight_at, rah_sequence_recursive,
+                        weight_block_by_runs)
 
 TWO = parse_ordinal("2")
 
@@ -176,9 +178,23 @@ def test_weight_family_level0_example():
 def test_weight_family_level1_matches_rah_vectors():
     fam = make_weight_family(ONE, 2, 2)
     for block, start in zip(fam.blocks, (3, 24)):
-        assert block.min_index == start
+        assert block.start == start
     small = fam.blocks[0].to_sparse()
     assert small == rah_vector(TWO, IndexStream.naturals(3), 1)
+
+
+def test_to_sparse_matches_the_run_by_run_reference():
+    for level in (0, 1):
+        for start in range(2, 13):
+            got = GeometricBlock(level, start).to_sparse()
+            want = weight_block_by_runs(GeometricBlock(level, start))
+            assert list(got.entries.items()) == list(want.entries.items())
+            assert all(type(v) is Fraction for v in got.entries.values())
+    # a block sized past the support budget still materialises; start 17
+    # is refused before anything is built
+    assert len(GeometricBlock(1, 13).to_sparse()) == 13 * (2 ** 13 - 1)
+    with pytest.raises(RangeNotMaterializable):
+        GeometricBlock(1, 17).to_sparse()
 
 
 def test_weight_family_certificates_and_maximality():

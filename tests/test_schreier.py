@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedylab.ordinals import OMEGA, ONE, ZERO, parse_ordinal
-from greedylab.schreier import (FamilyError, FamilyHandle, f_alpha_member,
-                                f_alpha_split, family_members_within,
+from greedylab.schreier import (FamilyError, FamilyHandle, _greedy_blocks,
+                                f_alpha_member, f_alpha_split,
+                                family_members_within,
                                 family_subsets, min_level_find,
                                 schreier_decompose, schreier_maximal,
                                 schreier_member, tail_shift_find)
@@ -55,6 +56,63 @@ def test_decompose_postconditions_sampled():
         assert len(blocks) <= E[0]
         for b in blocks:
             assert schreier_member(b, ONE)
+
+
+DECOMPOSE_LEVELS = [parse_ordinal(t) for t in ("1", "2", "w+1", "w*2+1")]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.lists(st.integers(1, 3), max_size=13))
+def test_decompositions_agree_with_membership(first, gaps):
+    # both directions: a decomposition exactly for members, a split exactly
+    # for relaxed-family members; sets from 1 up are drawn too
+    E = tuple(accumulate([first] + gaps))
+    for alpha in DECOMPOSE_LEVELS:
+        blocks = schreier_decompose(E, alpha)
+        assert (blocks is None) == (not schreier_member(E, alpha)), alpha
+        if blocks is not None:
+            assert tuple(x for b in blocks for x in b) == E
+            assert len(blocks) <= E[0]
+            assert all(schreier_member(b, alpha.predecessor()) for b in blocks)
+        if not f_alpha_member(E, alpha):
+            with pytest.raises(FamilyError):
+                f_alpha_split(E, alpha)
+            continue
+        first_half, second_half = f_alpha_split(E, alpha)
+        assert first_half + second_half == E
+        assert schreier_member(first_half, alpha)
+        assert schreier_member(second_half, alpha)
+        if schreier_member(E, alpha):
+            assert second_half == ()
+
+
+def test_decompositions_of_the_empty_set():
+    for alpha in DECOMPOSE_LEVELS:
+        assert schreier_decompose((), alpha) == []
+    for alpha in (ZERO, OMEGA, parse_ordinal("w*2")):
+        with pytest.raises(FamilyError):
+            schreier_decompose((), alpha)
+    for alpha in (ZERO, ONE, OMEGA, parse_ordinal("w*2+1")):
+        assert f_alpha_split((), alpha) == ((), ())
+
+
+def test_greedy_blocks_stop_past_the_cap():
+    # a non-member's long tail is not cut to the end
+    assert _greedy_blocks(tuple(range(2, 10_000)), ZERO, 2) == [(2,), (3,), (4,)]
+    assert _greedy_blocks((3, 4, 5), ZERO, 3) == [(3,), (4,), (5,)]
+    assert schreier_decompose(tuple(range(2, 10_000)), ONE) is None
+
+
+def test_family_handle_contains_validates_for_every_kind():
+    handles = (FamilyHandle.schreier(TWO), FamilyHandle.f_alpha(TWO),
+               FamilyHandle.powerset(), FamilyHandle.explicit([(), (2,)]))
+    for handle in handles:
+        for bad in ((3, 2), (0, 4), (True,), (2, 2)):
+            with pytest.raises(FamilyError):
+                handle.contains(bad)
+        assert handle.contains([]) and handle.contains(iter((2,)))
+    assert [h.contains((2, 3, 4)) for h in handles] == [True, True, True, False]
+    assert not handles[0].contains((1, 2))
 
 
 def test_greedy_matches_backtracking_spot():

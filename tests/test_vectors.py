@@ -97,6 +97,20 @@ def test_nan_coefficients_refused():
             case()
 
 
+def test_malformed_wire_coefficients_refused():
+    # 1/0 and x/2 escaped as ZeroDivisionError and ValueError, inf was
+    # accepted, and a repeated index kept its last coefficient
+    for text in ("1:1/0", "1:x/2", "1:inf", "2:-inf", "1:1e999", "1:", "1:2/",
+                 "3:1,3:2", "3:1,2:1,3:0"):
+        with pytest.raises(VectorError):
+            SparseVector.parse(text)
+    for text in ("1:1/0", "1:x/2", "1:inf"):
+        with pytest.raises(VectorError, match="bad coefficient"):
+            SparseVector.parse(text)
+    assert SparseVector.parse("1: 3/6 ,2:-2, 4:0.5").entries == {
+        1: Fraction(1, 2), 2: -2, 4: 0.5}
+
+
 def test_support_ends():
     x = SparseVector([(7, 1.0), (2, -1), (40, Fraction(1, 3))])
     assert (x.min_index(), x.max_index()) == (2, 40)
