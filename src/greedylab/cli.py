@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
+from itertools import combinations
 
 from .config import BudgetExceeded
-from .greedy import GreedyError, SearchSpec, estimate_constant, greedy_set
-from .harness import (ConfigError, ExperimentSpec, _sanitize, list_experiments,
+from .greedy import (GreedyError, SearchSpec, TheoremSuiteSpec,
+                     estimate_constant, greedy_set, theorem_suite)
+from .harness import (ConfigError, ExperimentSpec, json_text, list_experiments,
                       parse_config, run_experiment, write_csv, write_json)
 from .norms import NormDomainError
 from .ordinals import OrdinalError, parse_ordinal
@@ -19,7 +21,16 @@ from .vectors import SparseVector, VectorError
 
 
 def _emit(payload):
-    print(json.dumps(_sanitize(payload), sort_keys=True, indent=2))
+    print(json_text(payload))
+
+
+def _finite_norm(oracle, x, want_functional=False):
+    """oracle.norm, refused past the float range: JSON has no Infinity, and
+    an overflowed norm comes with no norming functional."""
+    result = oracle.norm(x, want_functional)
+    if (result[0] if want_functional else result) == math.inf:
+        raise NormDomainError(f"the norm in space {oracle.name} overflows floats")
+    return result
 
 
 def _parse_set(text: str) -> tuple:
@@ -43,8 +54,6 @@ def _cmd_family_enumerate(args):
     handle = FamilyHandle.parse(args.family)
     members = set(family_subsets(handle, args.universe, args.max_size))
     rows = []
-    from itertools import combinations
-
     for size in range(args.max_size + 1):
         for combo in combinations(range(1, args.universe + 1), size):
             rows.append((";".join(map(str, combo)), int(combo in members)))
@@ -59,7 +68,7 @@ def _cmd_family_enumerate(args):
 def _cmd_norm_eval(args):
     oracle = make_space(args.space)
     x = SparseVector.parse(args.vec)
-    value, f = oracle.norm(x, want_functional=True)
+    value, f = _finite_norm(oracle, x, want_functional=True)
     _emit({"space": args.space, "norm": value, "functional": f.to_wire()})
 
 
@@ -74,8 +83,8 @@ def _cmd_tga_run(args):
         "approximant": res.approximant.to_wire(),
         "residual": res.residual.to_wire(),
         "tie_flag": res.tie_flag,
-        "norm_x": oracle.norm(x),
-        "norm_residual": oracle.norm(res.residual),
+        "norm_x": _finite_norm(oracle, x),
+        "norm_residual": _finite_norm(oracle, res.residual),
     }
     _emit(payload)
 
@@ -92,8 +101,6 @@ def _cmd_constants_estimate(args):
 
 
 def _cmd_theorems_check(args):
-    from .greedy import TheoremSuiteSpec, theorem_suite
-
     oracle = make_space(args.space)
     family = FamilyHandle.parse(args.family)
     spec = TheoremSuiteSpec(seed=args.seed, certified=dict(oracle.certified))

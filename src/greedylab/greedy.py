@@ -652,7 +652,7 @@ class TheoremSuiteSpec:
     certified: dict = field(default_factory=dict)
 
 
-def _grid_equality_check(oracle, family, dim: int, tol: float = 1e-6):
+def _grid_equality_check(oracle, family, dim: int):
     """Exhaustive {-1,0,1} coefficient grids: the almost-greedy constant and
     the sign-splitting constant coincide, because the two configuration pools
     map into each other (unit coefficients keep every transformed vector on
@@ -711,7 +711,7 @@ def _grid_equality_check(oracle, family, dim: int, tol: float = 1e-6):
             if p_ratio > max_b:
                 max_b = p_ratio
     return {"max_almost_greedy": max_a, "max_sign_splitting": max_b,
-            "difference": abs(max_a - max_b), "equal": abs(max_a - max_b) <= tol}
+            "difference": abs(max_a - max_b), "equal": abs(max_a - max_b) <= 1e-6}
 
 
 def theorem_suite(oracle, family, spec: TheoremSuiteSpec) -> dict:

@@ -139,10 +139,13 @@ def write_csv(path, header, rows):
             writer.writerow([_csv_cell(v) for v in row])
 
 
+def json_text(payload) -> str:
+    """The JSON every writer emits: sanitized, keys sorted, indent 2."""
+    return json.dumps(_sanitize(payload), sort_keys=True, indent=2)
+
+
 def write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(_sanitize(payload), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    Path(path).write_text(json_text(payload) + "\n")
 
 
 def _check(name, witness, **fields):

@@ -44,11 +44,7 @@ class IndexStream:
     tail_start: int = 1
 
     def __post_init__(self):
-        if self.tail_start < 1:
-            raise FamilyError("tail must start at a positive integer")
-        check_index_set(self.prefix)
-        if self.prefix and self.prefix[-1] >= self.tail_start:
-            raise FamilyError("prefix must sit strictly below the tail")
+        check_index_set((*self.prefix, self.tail_start))
 
     @classmethod
     def naturals(cls, start: int = 1) -> "IndexStream":
@@ -190,31 +186,26 @@ class TailNormCertificate:
             "L": self.stream.describe(),
             "L_min": self.stream.min,
             "support_size": len(self.vector),
-            "norm": {"num": self.norm_value.numerator,
-                     "den": self.norm_value.denominator},
-            "bound": {"num": self.bound.numerator,
-                      "den": self.bound.denominator},
+            "norm": self.norm_value,
+            "bound": self.bound,
             "holds": self.holds,
         }
 
 
-def rah_schreier_bound_search(alpha: Ordinal, beta: Ordinal, N: int,
-                              stream: IndexStream | None = None,
-                              max_support=None):
+def rah_schreier_bound_search(alpha: Ordinal, beta: Ordinal, N: int):
     """Search for a certified small-norm tail: min L > N and exact
     level-alpha norm of the level-beta average below 3/min L.
 
-    Tails of the stream are tried with escalating cut points; each candidate
-    is certified by the exact family-norm evaluator before being returned.
+    Tails of the naturals are tried with escalating cut points; each
+    candidate is certified by the exact family-norm evaluator before being
+    returned.
     """
     if not alpha < beta:
         raise FamilyError(f"need alpha < beta, got {alpha} and {beta}")
-    if stream is None:
-        stream = IndexStream.naturals()
     cut = N
     for _ in range(BOUND_SEARCH_TRIES):
-        tail = stream.advance_past(cut)
-        vec = rah_sequence(beta, tail, 1, max_support)[0]
+        tail = IndexStream.naturals().advance_past(cut)
+        vec = rah_sequence(beta, tail, 1)[0]
         value = schreier_alpha_norm(vec, alpha)
         bound = Fraction(3, tail.min)
         if value < bound:
@@ -388,7 +379,7 @@ class GeometricBlock:
     start_form: ShiftedInt
 
     def __post_init__(self):
-        if self.level not in (0, 1):
+        if type(self.level) is not int or self.level not in (0, 1):
             raise FamilyError(
                 f"weight blocks are implemented for levels 0 and 1, got {self.level}"
             )
@@ -621,9 +612,8 @@ def weight_family_certificates(family: WeightFamily) -> list:
         samples = (block.scaled_run_mass(n) for n in _sample_run_numbers(block))
         rows.append({
             "block": pos,
-            "min": int_descriptor(block.start_form),
-            "norm_times_min": {"num": norm_times_min.numerator,
-                               "den": norm_times_min.denominator},
+            "min": block.start_form,
+            "norm_times_min": norm_times_min,
             "checks": {"mass_is_one": block.mass() == 1,
                        "norm_bound": norm_times_min < 3,
                        "sampled_run_mass": all(num == den for num, den in samples)},

@@ -95,10 +95,7 @@ class SparseVector:
 
     @classmethod
     def signed_indicator(cls, indices, signs) -> "SparseVector":
-        indices = list(indices)
-        if isinstance(signs, dict):
-            return cls({i: signs[i] for i in indices})
-        return cls({i: s for i, s in zip(indices, signs)})
+        return cls(dict(zip(indices, signs)))
 
     @classmethod
     def parse(cls, text: str) -> "SparseVector":

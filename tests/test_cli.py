@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from greedylab.cli import main
@@ -201,3 +202,43 @@ def test_family_check_at_a_deep_limit_level(capsys):
     payload = json.loads(out)
     assert payload["family"] == "s:w^5" and payload["member"] is True
     assert payload["set"] == list(range(5, 505))
+
+
+# exit code and SHA-256 of the stdout of two rah commands; the second block
+# of the build passes the support budget, so it prints the whole payload
+RAH_GOLDEN = {
+    ("rah", "ppp1", "--alpha", "1", "--beta", "2", "--N", "2"):
+        (0, "2f028020024514c4598e5b130871fd6d63ef8f2905de958b19f076132ad23119"),
+    ("rah", "build", "--alpha", "2", "--min", "3", "--blocks", "2"):
+        (3, "2eaa0fe09ecd0b7a907f3f75239a00f6c67f1efdf440645acfcf75e12e82c9d4"),
+}
+
+
+def test_rah_commands_print_the_recorded_bytes(capsys):
+    for argv, (want, digest) in RAH_GOLDEN.items():
+        code, out = run_cli(capsys, *argv)
+        assert code == want
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_overflowing_norms_are_domain_errors(capsys):
+    # both printed `Infinity`, which is not JSON, and norm eval printed the
+    # zero functional as the norming functional of a nonzero vector
+    for argv in (("norm", "eval", "--space", "kt:N=2",
+                  "--vec", "2:1.5e308,3:1.5e308"),
+                 ("tga", "run", "--space", "parity",
+                  "--vec", "2:1.5e308,4:1.5e308", "--m", "1")):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "overflows" in captured.err
+
+
+def test_repro_refuses_a_mismatched_or_missing_name(capsys, tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("experiment = repro-parity\n")
+    for argv in (("repro", "repro-m31", "--config", str(cfg)), ("repro",)):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+    assert not (tmp_path / "out").exists()

@@ -488,3 +488,16 @@ def test_weighted_norm_leaves_an_unreached_start_unexpanded():
     assert weighted_schreier_norm(x, family, want_witness=True)[0] == 5
     assert weighted_schreier_norm(x.scale(0.5), family) == 2.5
     assert "start" not in last.__dict__
+
+
+@pytest.mark.parametrize("level", ["w", "w*2", "w^2"])
+def test_window_dp_witness_at_a_limit_level(level):
+    # the support holds 1, so it is no member, and a limit level's row is
+    # read on four points; public inputs reach this branch of the witness
+    # only past the default budget
+    values = [(1, 5), (2, 3), (3, 4), (4, 1)]
+    alpha = parse_ordinal(level)
+    dp = family_norms._WindowDP(values, alpha, None)
+    assert dp.best(alpha, 0, 4) == 8
+    assert dp.witness(alpha, 0, 4) == (2, 3, 4)
+    assert naive_schreier_norm(SparseVector(dict(values)), alpha) == 8

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greedylab import greedy
 from greedylab.greedy import (CONSTANT_NAMES, EXTRA_OFFSUPPORT, GAP_TOL,
                               KELLEY_MAX_CUTS, GreedyError, PropertyConfig,
                               SearchSpec, TheoremSuiteSpec, _cut_lp,
@@ -732,3 +733,28 @@ def test_theorem_suite_sign_sets_fit_a_small_space():
     report = theorem_suite(kt, S1, TheoremSuiteSpec(samples=5, certified={"Cl": 1.0}))
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["sign-flip-comparability"]["status"] == "PASS"
+
+
+def test_best_coefficients_reports_an_unconverged_search(monkeypatch):
+    # the stall vector of test_best_coefficients_past_coordinate_descent_stall
+    # needs more than two cuts
+    monkeypatch.setattr(greedy, "KELLEY_MAX_CUTS", 2)
+    james = make_space("james:a=1")
+    x = SparseVector({1: 0.1683, 3: 0.6317, 7: -0.2581, 8: -0.8909,
+                      10: 0.1990, 11: -0.5556})
+    value, coeffs, converged = best_coefficients(x, (2, 10), james)
+    assert not converged
+    assert value == james.norm(x - SparseVector(coeffs))
+    assert 2.3924 < value <= 2.5046 + 1e-9
+
+
+def test_theorem_suite_sign_flip_failure_carries_its_witness():
+    kt = make_space("kt:N=8")
+    report = theorem_suite(kt, S1, TheoremSuiteSpec(certified={"Cl": 0.3}))
+    check = {c["name"]: c for c in report["checks"]}["sign-flip-comparability"]
+    assert check["status"] == "FAIL"
+    wit = check["witness"]
+    A, signs = tuple(wit["set"]), wit["signs"]
+    assert wit["base"] == kt.norm(SparseVector.indicator(A, 1.0))
+    assert wit["value"] == kt.norm(SparseVector.signed_indicator(A, signs))
+    assert not (wit["base"] / 0.6 - 1e-9 <= wit["value"] <= 0.6 * wit["base"] + 1e-9)

@@ -1,10 +1,11 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from greedylab.harness import (ConfigError, ExperimentSpec, list_experiments,
-                               parse_config, run_experiment)
+from greedylab.harness import (ConfigError, ExperimentSpec, _csv_cell,
+                               list_experiments, parse_config, run_experiment)
 
 
 def test_parse_minimal_config(tmp_path):
@@ -148,3 +149,25 @@ def test_missing_config_is_a_config_error(tmp_path):
         parse_config(tmp_path / "no_such.cfg")
     with pytest.raises(ConfigError):
         parse_config(tmp_path)  # a directory
+
+
+def test_unknown_parameter_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="unknown parameters"):
+        run_experiment(ExperimentSpec("repro-parity", {"n_maxx": 3}), tmp_path)
+
+
+def test_walpha_family_past_the_cap_is_a_budget_status(tmp_path):
+    # the fifth block would start past a start of 402653213 bits
+    summary = run_experiment(ExperimentSpec("repro-walpha", {"blocks": 5}),
+                             tmp_path)
+    assert summary["status"] == "BUDGET"
+    [check] = summary["checks"]
+    assert check["name"] == "family-construction"
+    assert check["witness"].startswith("cannot place block 5")
+
+
+def test_csv_cells():
+    assert _csv_cell(1 << 70) == "bits:71"
+    assert _csv_cell((1 << 63) - 1) == str((1 << 63) - 1)
+    assert _csv_cell(Fraction(1 << 70, 3)) == "bits:71/3"
+    assert _csv_cell(0.1) == "0.1" and _csv_cell(True) == "True"

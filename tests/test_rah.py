@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from greedylab.config import BudgetExceeded
 from greedylab.family_norms import schreier_alpha_norm, weighted_schreier_norm
+from greedylab.harness import _sanitize
 from greedylab.ordinals import OMEGA, ONE, ZERO, parse_ordinal
 from greedylab.rah import (GeometricBlock, IndexStream,
                            RangeNotMaterializable, ShiftedInt,
@@ -412,3 +415,43 @@ def test_default_family_certificates_and_democracy():
     partner = demo[1]["partner"]
     probe = SparseVector({partner["lo"]: 1, partner["hi"]: 1})
     assert weighted_schreier_norm(probe, family) == 1
+
+
+def test_constructors_refuse_bool_and_non_integer_naturals():
+    # each of these built: a level or tail of True was written as JSON
+    # `true`, and a tail of 2.5 failed later in `first` with a TypeError
+    for build in (lambda: GeometricBlock(True, 3),
+                  lambda: GeometricBlock(1.0, 3),
+                  lambda: make_weight_family(True, 2, 2),
+                  lambda: IndexStream((), True),
+                  lambda: IndexStream((), 2.5)):
+        with pytest.raises(FamilyError):
+            build()
+    # the stream refusals that came before the single index-set check
+    for prefix, tail in (((), 0), ((3,), 3), ((4,), 3), ((2, 2), 5)):
+        with pytest.raises(FamilyError):
+            IndexStream(prefix, tail)
+
+
+def test_certificates_keep_fractions_and_forms():
+    # the writers encode them; in process they stay exact
+    cert = rah_schreier_bound_search(ONE, TWO, 2)
+    assert cert.to_dict()["norm"] is cert.norm_value
+    assert cert.to_dict()["bound"] == Fraction(1)
+    family = make_weight_family(ONE, 4, 2)
+    rows = weight_family_certificates(family)
+    for row, block in zip(rows, family.blocks):
+        assert row["min"] is block.start_form
+        assert row["norm_times_min"] == Fraction(1)
+        assert type(row["norm_times_min"]) is Fraction
+
+
+# SHA-256 of the sanitized certificates of the default repro-walpha family,
+# as json.dumps(..., sort_keys=True) writes them
+CERTIFICATES_GOLDEN = "93302c3c1aa1848891dc777ceb233e4e066eb2158bd14d575acaca402096a348"
+
+
+def test_certificates_golden():
+    rows = _sanitize(weight_family_certificates(make_weight_family(ONE, 4, 2)))
+    text = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATES_GOLDEN
