@@ -144,8 +144,12 @@ def _rah_payload(args, vecs, budget_error=None):
 
 
 def _cmd_rah_ppp1(args):
-    cert = rah_schreier_bound_search(parse_ordinal(args.alpha),
-                                     parse_ordinal(args.beta), args.N)
+    try:
+        cert = rah_schreier_bound_search(parse_ordinal(args.alpha),
+                                         parse_ordinal(args.beta), args.N)
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     _emit(cert.to_dict())
 
 

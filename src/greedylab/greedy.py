@@ -16,14 +16,17 @@ leaves, a lower bound on its error since every norm here dominates the sup
 norm, cannot beat the best so far, and a per-sample memo solves each support
 once for all the orders m of one sampled vector.  Each constant's defining
 ratio is written once, in `_ratio`: the estimators maximize it into certified
-lower bounds, and their witnesses replay through it.
+lower bounds, and their witnesses replay through it.  The theorem suite's
+grid check reads the same definitions, `greedy_set` (every greedy set),
+`almost_greedy_error` and `property_A_check`, over a table of the grid's
+norms.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, combinations, count, islice, product
 
@@ -656,60 +659,37 @@ def _grid_equality_check(oracle, family, dim: int):
     """Exhaustive {-1,0,1} coefficient grids: the almost-greedy constant and
     the sign-splitting constant coincide, because the two configuration pools
     map into each other (unit coefficients keep every transformed vector on
-    the grid).  Returns both maxima and the verdict."""
-    idxs = tuple(range(1, dim + 1))
-    table = {t: oracle.norm(SparseVector({i: v for i, v in zip(idxs, t) if v}))
-             for t in product((-1.0, 0.0, 1.0), repeat=dim)}
-
-    def norm_of(entries: dict) -> float:
-        key = tuple(float(entries.get(i, 0.0)) for i in idxs)
-        return table[key]
-
-    member_set = set(family_members_within(family, idxs, dim))
+    the grid).  Both maxima come from the library's definitions, over an
+    oracle that reads one table of the grid's norms, each evaluated once:
+    the residual of every greedy set (greedy_set's enumerate-all mode)
+    against almost_greedy_error, and property_A_check's ratio and projection
+    ratio.  Returns both maxima and the verdict."""
+    idxs = range(1, dim + 1)
+    grid = [SparseVector(dict(zip(idxs, t)))
+            for t in product((-1.0, 0.0, 1.0), repeat=dim)]
+    table = {x: oracle.norm(x) for x in grid}
+    tabled = replace(oracle, evaluate=lambda x, want_functional=False: table[x])
 
     max_a = 1.0
-    for t in product((-1.0, 0.0, 1.0), repeat=dim):
-        supp = tuple(i for i, v in zip(idxs, t) if v)
-        if not supp:
-            continue
-        x = {i: v for i, v in zip(idxs, t) if v}
-        drop_norm = {A: norm_of({i: v for i, v in x.items() if i not in A})
-                     for size in range(len(supp) + 1)
-                     for A in combinations(supp, size)}
-        for m in range(1, len(supp) + 1):
-            denom = min(drop_norm[A] for A in drop_norm
-                        if len(A) <= m and A in member_set)
-            for lam in combinations(supp, m):
-                num = drop_norm[lam]
-                if denom < 1e-12:
-                    continue
-                ratio = num / denom
-                if ratio > max_a:
-                    max_a = ratio
+    memo = _SampleMemo(tabled)
+    for x in grid:
+        for m in range(1, len(x) + 1):
+            denom = almost_greedy_error(x, m, tabled, family, memo)[0]
+            if denom < 1e-12:
+                continue
+            for res in greedy_set(x, m, "enumerate-all"):
+                max_a = max(max_a, tabled.norm(res.residual) / denom)
 
     max_b = 1.0
-    roles = ("x-", "x0", "x+", "A-", "A+", "B-", "B+")
+    roles = [None] + [(part, sign) for part in "xAB" for sign in (-1.0, 1.0)]
     for assign in product(roles, repeat=dim):
-        A = tuple(i for i, r in zip(idxs, assign) if r.startswith("A"))
-        B = tuple(i for i, r in zip(idxs, assign) if r.startswith("B"))
-        if len(A) > len(B) or A not in member_set:
+        x, A, B = ({i: r[1] for i, r in zip(idxs, assign) if r and r[0] == part}
+                   for part in "xAB")
+        if len(A) > len(B) or not family.contains(tuple(A)):
             continue
-        # x, x + signs on A and x + coefficients on B; the roles are disjoint
-        signed = {i: (r[0], -1.0 if r[1] == "-" else 1.0)
-                  for i, r in zip(idxs, assign) if r != "x0"}
-        x, lhs, rhs = ({i: v for i, (role, v) in signed.items() if role in kinds}
-                       for kinds in ("x", "xA", "xB"))
-        denom = norm_of(rhs)
-        if denom < 1e-12:
-            continue
-        ratio = norm_of(lhs) / denom
-        if ratio > max_b:
-            max_b = ratio
-        # projection form: same A and B, x may now overlap A
-        if x:
-            p_ratio = norm_of(x) / denom
-            if p_ratio > max_b:
-                max_b = p_ratio
+        cfg = PropertyConfig(SparseVector(x), tuple(A), tuple(B), A, B)
+        out = property_A_check(tabled, family, cfg)
+        max_b = max(max_b, out["ratio"], out["projection_ratio"])
     return {"max_almost_greedy": max_a, "max_sign_splitting": max_b,
             "difference": abs(max_a - max_b), "equal": abs(max_a - max_b) <= 1e-6}
 

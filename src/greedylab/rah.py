@@ -27,8 +27,6 @@ from .vectors import SparseVector
 
 # largest bit count we are willing to materialize for a block endpoint
 MATERIALIZE_SHIFT_CAP = 1 << 30
-# cut escalations `rah_schreier_bound_search` tries before giving up
-BOUND_SEARCH_TRIES = 8
 
 
 class RangeNotMaterializable(FamilyError):
@@ -193,28 +191,25 @@ class TailNormCertificate:
 
 
 def rah_schreier_bound_search(alpha: Ordinal, beta: Ordinal, N: int):
-    """Search for a certified small-norm tail: min L > N and exact
-    level-alpha norm of the level-beta average below 3/min L.
+    """A certified small-norm tail: L = {N+1, N+2, ...}, whose level-beta
+    average has exact level-alpha family norm below 3/min L.
 
-    Tails of the naturals are tried with escalating cut points; each
-    candidate is certified by the exact family-norm evaluator before being
-    returned.
+    The first tail past N is the only one tried: a later cut only makes the
+    average larger, and each traced level pair certifies at the first tail
+    whenever its average fits the support budget.  A norm at or above the
+    bound raises FamilyError.
     """
     if not alpha < beta:
         raise FamilyError(f"need alpha < beta, got {alpha} and {beta}")
-    cut = N
-    for _ in range(BOUND_SEARCH_TRIES):
-        tail = IndexStream.naturals().advance_past(cut)
-        vec = rah_sequence(beta, tail, 1)[0]
-        value = schreier_alpha_norm(vec, alpha)
-        bound = Fraction(3, tail.min)
-        if value < bound:
-            return TailNormCertificate(alpha, beta, tail, vec, value, bound)
-        cut = tail.min
-    raise FamilyError(
-        f"no certified tail found for levels ({alpha}, {beta}) within "
-        f"{BOUND_SEARCH_TRIES} cut escalations past {N}"
-    )
+    tail = IndexStream.naturals().advance_past(N)
+    vec = rah_sequence(beta, tail, 1)[0]
+    value = schreier_alpha_norm(vec, alpha)
+    bound = Fraction(3, tail.min)
+    if not value < bound:
+        raise FamilyError(
+            f"the level-{beta} average on the tail past {N} has level-{alpha} "
+            f"norm {value}, not below the bound {bound}")
+    return TailNormCertificate(alpha, beta, tail, vec, value, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +378,12 @@ class GeometricBlock:
             raise FamilyError(
                 f"weight blocks are implemented for levels 0 and 1, got {self.level}"
             )
-        if self.start_form < 2:
-            raise FamilyError("block start must be at least 2")
         form = self.start_form
+        if type(form) is not int and not isinstance(form, ShiftedInt):
+            raise FamilyError(
+                f"block start must be an int or a ShiftedInt, got {form!r}")
+        if form < 2:
+            raise FamilyError("block start must be at least 2")
         if isinstance(form, int) or form.offset or not form.head & 1:
             object.__setattr__(self, "start_form", ShiftedInt.of(int(form)))
 
@@ -571,8 +569,10 @@ def make_weight_family(alpha, count: int, n0: int) -> WeightFamily:
             "weight families are implemented for levels 0 and 1 "
             f"(got {alpha})"
         )
-    if count < 1:
-        raise FamilyError("count must be >= 1")
+    if type(count) is not int or count < 1:
+        raise FamilyError(f"count must be an int >= 1, got {count!r}")
+    if type(n0) is not int:
+        raise FamilyError(f"n0 must be an int, got {n0!r}")
     start = n0 + 1
     blocks = []
     for i in range(count):

@@ -3,12 +3,12 @@ against: slow, simple, and independent of the code under test."""
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from greedylab.config import BudgetExceeded
 from greedylab.greedy import GreedyError
 from greedylab.ordinals import Ordinal, fundamental_term
-from greedylab.schreier import check_index_set
+from greedylab.schreier import check_index_set, family_members_within
 from greedylab.vectors import SparseVector
 
 
@@ -228,3 +228,54 @@ def weighted_norm_pointwise(x: SparseVector, family, want_witness=False):
                 w = lo * w if v > 0 else -lo * w
                 f[i] = float(w) if float_mode else w
     return best, SparseVector(f)
+
+
+def grid_equality_reference(oracle, family, dim: int):
+    """Both maxima of the theorem suite's grid check, by direct enumeration
+    over the {-1,0,1} grid on 1..dim: the greedy residual against the least
+    projection error on a member of size <= m, over every greedy set of
+    every unit vector; and the sign-splitting ratio with its projection
+    form, over every assignment of the indices to x, signs on A and
+    coefficients on B with |A| <= |B| and A in the family."""
+    idxs = tuple(range(1, dim + 1))
+    table = {t: oracle.norm(SparseVector({i: v for i, v in zip(idxs, t) if v}))
+             for t in product((-1.0, 0.0, 1.0), repeat=dim)}
+
+    def norm_of(entries: dict) -> float:
+        return table[tuple(float(entries.get(i, 0.0)) for i in idxs)]
+
+    member_set = set(family_members_within(family, idxs, dim))
+
+    max_a = 1.0
+    for t in product((-1.0, 0.0, 1.0), repeat=dim):
+        x = {i: v for i, v in zip(idxs, t) if v}
+        supp = tuple(x)
+        drop_norm = {A: norm_of({i: v for i, v in x.items() if i not in A})
+                     for size in range(len(supp) + 1)
+                     for A in combinations(supp, size)}
+        for m in range(1, len(supp) + 1):
+            denom = min(drop_norm[A] for A in drop_norm
+                        if len(A) <= m and A in member_set)
+            if denom < 1e-12:
+                continue
+            for lam in combinations(supp, m):
+                max_a = max(max_a, drop_norm[lam] / denom)
+
+    max_b = 1.0
+    roles = ("x-", "x0", "x+", "A-", "A+", "B-", "B+")
+    for assign in product(roles, repeat=dim):
+        A = tuple(i for i, r in zip(idxs, assign) if r.startswith("A"))
+        B = tuple(i for i, r in zip(idxs, assign) if r.startswith("B"))
+        if len(A) > len(B) or A not in member_set:
+            continue
+        signed = {i: (r[0], -1.0 if r[1] == "-" else 1.0)
+                  for i, r in zip(idxs, assign) if r != "x0"}
+        x, lhs, rhs = ({i: v for i, (role, v) in signed.items() if role in kinds}
+                       for kinds in ("x", "xA", "xB"))
+        denom = norm_of(rhs)
+        if denom < 1e-12:
+            continue
+        max_b = max(max_b, norm_of(lhs) / denom)
+        if x:
+            max_b = max(max_b, norm_of(x) / denom)
+    return {"max_almost_greedy": max_a, "max_sign_splitting": max_b}

@@ -149,6 +149,15 @@ def test_rah_build_refuses_a_deep_limit_level(capsys, tmp_path):
     assert payload["budget_error"].startswith("support budget 100000 exhausted")
 
 
+def test_rah_ppp1_budget_exit_code(capsys):
+    # the same BudgetExceeded exits 3 from rah build; ppp1 exited 2, the code
+    # of a bad argument
+    assert main(["rah", "ppp1", "--alpha", "w", "--beta", "w+1", "--N", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: support budget 100000 exhausted")
+
+
 def test_repro_and_list(capsys, tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("experiment = repro-parity\nn_max = 9\n")

@@ -14,7 +14,8 @@ from greedylab import greedy
 from greedylab.greedy import (CONSTANT_NAMES, EXTRA_OFFSUPPORT, GAP_TOL,
                               KELLEY_MAX_CUTS, GreedyError, PropertyConfig,
                               SearchSpec, TheoremSuiteSpec, _cut_lp,
-                              _gap_closed, _one_cut_bound, _random_vector,
+                              _gap_closed, _grid_equality_check,
+                              _one_cut_bound, _random_vector,
                               _ratio, _sampled_configs, _SampleMemo,
                               almost_greedy_error, best_coefficients,
                               estimate_constant, evaluate_witness,
@@ -24,7 +25,7 @@ from greedylab.norms import NormDomainError, NormOracle
 from greedylab.schreier import FamilyHandle
 from greedylab.spaces import make_space
 from greedylab.vectors import SparseVector
-from references import grid_best_coefficients
+from references import grid_best_coefficients, grid_equality_reference
 
 S1 = FamilyHandle.parse("s:1")
 POWERSET = FamilyHandle.powerset()
@@ -712,6 +713,41 @@ def test_theorem_suite_parity_grid_equality():
     grid = by_name["grid-constant-equality"]
     assert grid["status"] == "PASS", grid
     assert by_name["sign-flip-comparability"]["status"] == "PASS"
+
+
+BUILTIN_SPACES = ("kt:N=32", "parity", "schreier:a=1", "schreier:a=2",
+                  "james:a=1", "walpha:a=1", "ktsum:l2", "ktsum:c0")
+
+
+@pytest.mark.parametrize("descriptor", BUILTIN_SPACES)
+def test_grid_check_matches_the_direct_enumeration(descriptor):
+    oracle = make_space(descriptor)
+    cases = [(f, dim) for f in ("s:1", "s:2", "f:1") for dim in (2, 3, 4)]
+    if descriptor == "parity":
+        cases.append(("s:1", 5))
+    for f, dim in cases:
+        family = FamilyHandle.parse(f)
+        got = _grid_equality_check(oracle, family, dim)
+        want = grid_equality_reference(oracle, family, dim)
+        assert got["max_almost_greedy"] == want["max_almost_greedy"], (f, dim)
+        assert got["max_sign_splitting"] == want["max_sign_splitting"], (f, dim)
+
+
+@pytest.mark.parametrize("descriptor", ("parity", "james:a=1"))
+def test_theorem_suite_evaluates_each_grid_norm_once(descriptor):
+    space = make_space(descriptor)
+    seen = []
+
+    def evaluate(x, want_functional=False):
+        seen.append(x)
+        return space.evaluate(x, want_functional)
+
+    # no samples and no certified Cl: only the grid check evaluates norms
+    counted = dataclasses.replace(space, evaluate=evaluate, certified={})
+    report = theorem_suite(counted, S1, TheoremSuiteSpec(samples=0, grid_dim=4))
+    grid = {c["name"]: c for c in report["checks"]}["grid-constant-equality"]
+    assert grid["status"] == "PASS"
+    assert len(seen) == len(set(seen)) == 3 ** 4
 
 
 def test_theorem_suite_james_certified():

@@ -12,6 +12,7 @@ from greedylab.config import BudgetExceeded
 from greedylab.family_norms import schreier_alpha_norm, weighted_schreier_norm
 from greedylab.harness import _sanitize
 from greedylab.ordinals import OMEGA, ONE, ZERO, parse_ordinal
+from greedylab import rah
 from greedylab.rah import (GeometricBlock, IndexStream,
                            RangeNotMaterializable, ShiftedInt,
                            WeightFamily, democracy_growth_table,
@@ -169,6 +170,32 @@ def test_tail_certificates():
     assert cert2.norm_value == schreier_alpha_norm(cert2.vector, ONE)
     with pytest.raises(FamilyError):
         rah_schreier_bound_search(ONE, ONE, 2)
+
+
+def test_tail_certificates_hold_at_the_first_tail():
+    # every level pair here either certifies on the tail past N or runs out
+    # of support budget building its first average; no later cut is needed
+    pairs = [("0", "1"), ("1", "2"), ("0", "2"), ("1", "3"), ("2", "3"),
+             ("w", "w+1"), ("1", "w"), ("2", "w"), ("0", "w")]
+    fitting = []
+    for a, b in pairs:
+        alpha, beta = parse_ordinal(a), parse_ordinal(b)
+        for N in range(1, 9):
+            try:
+                cert = rah_schreier_bound_search(alpha, beta, N)
+            except BudgetExceeded:
+                continue
+            assert cert.stream.min == N + 1 and cert.holds, (a, b, N)
+            assert cert.norm_value == schreier_alpha_norm(cert.vector, alpha)
+            fitting.append((a, b, N))
+    assert fitting == ([(a, b, N) for a, b in pairs[:3] for N in range(1, 9)]
+                       + [("1", "3", 1), ("1", "w", 1), ("0", "w", 1)])
+
+
+def test_tail_certificate_failure_names_the_value_and_the_bound(monkeypatch):
+    monkeypatch.setattr(rah, "schreier_alpha_norm", lambda vec, alpha: Fraction(1))
+    with pytest.raises(FamilyError, match=r"norm 1, not below the bound 1$"):
+        rah_schreier_bound_search(ONE, TWO, 2)
 
 
 def test_weight_family_level0_example():
@@ -418,11 +445,19 @@ def test_default_family_certificates_and_democracy():
 
 
 def test_constructors_refuse_bool_and_non_integer_naturals():
-    # each of these built: a level or tail of True was written as JSON
-    # `true`, and a tail of 2.5 failed later in `first` with a TypeError
+    # each of these built or failed late: a level, tail or n0 of True was
+    # written as JSON `true`, a count of True built one block, a tail of 2.5
+    # failed later in `first` with a TypeError, and a start or n0 of 2.5
+    # with an AttributeError
     for build in (lambda: GeometricBlock(True, 3),
                   lambda: GeometricBlock(1.0, 3),
                   lambda: make_weight_family(True, 2, 2),
+                  lambda: GeometricBlock(0, 2.5),
+                  lambda: GeometricBlock(0, True),
+                  lambda: make_weight_family(ONE, 2, 2.5),
+                  lambda: make_weight_family(ONE, 2, True),
+                  lambda: make_weight_family(ONE, True, 2),
+                  lambda: make_weight_family(ONE, 2.0, 2),
                   lambda: IndexStream((), True),
                   lambda: IndexStream((), 2.5)):
         with pytest.raises(FamilyError):
