@@ -253,6 +253,11 @@ def main(argv=None) -> int:
     lst.set_defaults(fn=_cmd_list)
 
     args = parser.parse_args(argv)
+    for flag in ("blocks", "universe", "max_size", "samples"):
+        if getattr(args, flag, 0) < 0:
+            print(f"error: --{flag.replace('_', '-')} must be at least 0, got "
+                  f"{getattr(args, flag)}", file=sys.stderr)
+            return 2
     try:
         result = args.fn(args)
     except (FamilyError, VectorError, ConfigError, BudgetExceeded,

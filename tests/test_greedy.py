@@ -69,6 +69,22 @@ def test_greedy_padding_and_caps():
             greedy_set(SparseVector({3: 1.0}), m, tie_break="bogus")
 
 
+@pytest.mark.parametrize("error", (sigma_m, almost_greedy_error))
+def test_support_enumeration_wall(error):
+    parity = make_space("parity")
+    one = SparseVector({1: 1.0})
+    wide = SparseVector(dict.fromkeys(range(1, 24), 1.0))
+    for x, m, message in ((one, 11, "support-set enumeration guard: m=11, support=1"),
+                          (wide, 0, "support-set enumeration guard: m=0, support=23"),
+                          (one, -1, "m must be nonnegative")):
+        with pytest.raises(GreedyError) as refused:
+            error(x, m, parity, S1)
+        assert str(refused.value) == message
+    # the last searches inside the wall
+    error(one, 10, parity, S1)
+    error(wide.drop((23,)), 0, parity, S1)
+
+
 def test_sigma_examples():
     parity = make_space("parity")
     x = SparseVector({1: 1.0, 2: 1.0, 4: 1.0})
@@ -702,6 +718,28 @@ def test_property_forms_agree_on_pools():
         projected.append(parity.norm(lhs) / parity.norm(rhs))
     assert max(direct) <= max(projected) + 1e-9
     assert max(projected) <= max(direct) + 1e-9
+
+
+def test_projection_ratio_is_the_direct_ratio_with_A_empty():
+    # why the grid check reads only the direct ratio: the projection ratio
+    # of a configuration is exactly the direct ratio of the configuration
+    # with the same x and B and with A empty
+    from greedylab.greedy import _random_property_config
+
+    spec = SearchSpec(index_range=20, support_cap=6, set_size_cap=4)
+    rng = random.Random(41)
+    checked = 0
+    for descriptor in ("parity", "kt:N=8", "james:a=1", "ktsum:c0", "walpha:a=1"):
+        oracle = make_space(descriptor)
+        for _ in range(250):
+            cfg = _random_property_config(rng, oracle, S1, spec)
+            if cfg is None:
+                continue
+            unsplit = dataclasses.replace(cfg, A=(), signs={})
+            assert (property_A_check(oracle, S1, cfg)["projection_ratio"]
+                    == property_A_check(oracle, S1, unsplit)["ratio"]), (descriptor, cfg)
+            checked += 1
+    assert checked >= 1000
 
 
 def test_theorem_suite_parity_grid_equality():

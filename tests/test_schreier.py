@@ -123,7 +123,11 @@ def test_greedy_matches_backtracking_spot():
                 E, alpha, cache)
 
 
-MEMBER_LEVELS = [parse_ordinal(t) for t in ("0", "1", "2", "3", "w", "w+1", "w*2")]
+# w+2, w*2+3 and w^2+w+2 run the walk's min^j rule at a level ending in
+# j >= 2 on top of a limit part; on sets this small they refuse only sets
+# holding 1 with more points
+MEMBER_LEVELS = [parse_ordinal(t) for t in ("0", "1", "2", "3", "w", "w+1", "w*2",
+                                            "w+2", "w*2+3", "w^2+w+2")]
 
 
 @settings(max_examples=200, deadline=None)
@@ -212,7 +216,8 @@ def test_f_alpha_examples():
             assert f_alpha_member(E, TWO)
 
 
-F_LEVELS = [parse_ordinal(t) for t in ("1", "2", "3", "w+1", "w*2+1")]
+F_LEVELS = [parse_ordinal(t) for t in ("1", "2", "3", "w+1", "w*2+1",
+                                       "w+2", "w*2+3", "w^2+w+2")]
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
