@@ -8,8 +8,8 @@ from .greedy import (ConstantEstimate, GreedyResult, SearchSpec,
                      greedy_set, property_A_check, sigma_m, theorem_suite)
 from .norms import (NormOracle, block_sum_norm, kt_block_norm, kt_block_of,
                     kt_global_index, mixed_parity_norm)
-from .ordinals import (OMEGA, ONE, ZERO, Ordinal, OrdinalError, classify,
-                       compare, fundamental_term, parse_ordinal)
+from .ordinals import (OMEGA, ONE, ZERO, Ordinal, OrdinalError,
+                       fundamental_term, parse_ordinal)
 from .rah import (GeometricBlock, IndexStream, ShiftedInt, WeightFamily,
                   democracy_growth_table, int_descriptor, make_weight_family,
                   rah_schreier_bound_search, rah_sequence, rah_vector,

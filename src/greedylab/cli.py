@@ -103,8 +103,7 @@ def _cmd_constants_estimate(args):
 def _cmd_theorems_check(args):
     oracle = make_space(args.space)
     family = FamilyHandle.parse(args.family)
-    spec = TheoremSuiteSpec(seed=args.seed, certified=dict(oracle.certified))
-    report = theorem_suite(oracle, family, spec)
+    report = theorem_suite(oracle, family, TheoremSuiteSpec(seed=args.seed))
     if args.out:
         write_json(args.out, report)
     _emit(report)

@@ -419,7 +419,8 @@ def _james_dp_level1(support, coeffs, max_cells, want_witness):
 
 def _interval_best(support, coeffs, alpha, max_cells, want_witness):
     """Exact interval-system optimum by the window DP, with the minima chain
-    that attains it."""
+    that attains it.  It is also the level-1 reference the tests compare
+    `_james_dp_level1` against, so it stays a function of its own."""
     n = len(support)
     dp = _WindowDP(list(zip(support, map(abs, coeffs))), alpha, max_cells,
                    signed=coeffs)

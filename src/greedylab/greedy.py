@@ -7,19 +7,19 @@ planes on norming functionals, run on Python ints (the payload over one
 denominator, each cut over its functional's), each LP solved by an
 integer-preserving (fraction-free) simplex, except that the first cut's LP
 optimum has a closed form and ends the search when it already closes the
-gap.  Candidate supports
-lie in the support of x, plus the EXTRA_OFFSUPPORT smallest unused indices
-where the suppression constant is not 1 (an off-support index cannot lower a
-projection error).  One loop, `_best_support`, searches both errors (sigma_m,
-almost_greedy_error): it skips a support unsolved when the largest modulus it
-leaves, a lower bound on its error since every norm here dominates the sup
-norm, cannot beat the best so far, and a per-sample memo solves each support
-once for all the orders m of one sampled vector.  Each constant's defining
-ratio is written once, in `_ratio`: the estimators maximize it into certified
-lower bounds, and their witnesses replay through it.  The theorem suite's
-grid check reads the same definitions, `greedy_set` (every greedy set),
-`almost_greedy_error` and `property_A_check`, over a table of the grid's
-norms.
+gap.  Candidate supports lie in the support of x, plus the EXTRA_OFFSUPPORT
+smallest unused indices where the suppression constant is not 1 (an
+off-support index cannot lower a projection error).  One loop,
+`_best_support`, searches both errors (sigma_m, almost_greedy_error): it skips
+a support unsolved when the largest modulus it leaves, a lower bound on its
+error since every norm here dominates the sup norm, cannot beat the best so
+far, and a per-sample memo solves each support once for all the orders m of
+one sampled vector.  Each constant's defining ratio is written once, in
+`_ratio`: the estimators maximize it into certified lower bounds, and their
+witnesses replay through it; `property_A_check` returns the one
+sign-splitting ratio.  The theorem suite grades the space's own certified
+constants (`oracle.certified`), and its grid check reads the same
+definitions over a table of the grid's norms.
 """
 
 from __future__ import annotations
@@ -565,6 +565,8 @@ def estimate_constant(name: str, oracle, family, spec: SearchSpec) -> ConstantEs
     """
     if name not in CONSTANT_NAMES:
         raise GreedyError(f"unknown constant {name!r}; pick from {CONSTANT_NAMES}")
+    if spec.samples < 0:
+        raise GreedyError(f"samples must be at least 0, got {spec.samples}")
     templated = ((f"template:{spec.template}", cfg)
                  for cfg in _template_configs(name, oracle, family, spec))
     sampled = (("sampled", cfg) for cfg in _sampled_configs(
@@ -610,13 +612,10 @@ def _random_property_config(rng, oracle, family, spec) -> PropertyConfig | None:
     return PropertyConfig(x, A, B, signs, b)
 
 
-def property_A_check(oracle, family, cfg: PropertyConfig, certified_bound=None):
-    """Evaluate both sides of the sign-splitting comparability inequality.
-
-    Returns the direct ratio, the projection-form ratio computed from the same
-    configuration, and (when a certified constant is supplied) whether the
-    direct ratio stays below it.
-    """
+def property_A_check(oracle, family, cfg: PropertyConfig):
+    """The sign-splitting ratio ||x + signs_A|| / ||x + b_B|| of a validated
+    configuration, as {"ratio": ...}.  Its projection form ||x|| / ||x + b_B||
+    is this ratio for the same x and B with A empty."""
     if float(cfg.x.inf_norm() or 0.0) > 1.0 + 1e-12:
         raise GreedyError("config x must have sup-norm at most 1")
     if not family.contains(cfg.A):
@@ -629,14 +628,7 @@ def property_A_check(oracle, family, cfg: PropertyConfig, certified_bound=None):
     if any(abs(v) < 1.0 - 1e-12 for v in cfg.b.values()):
         raise GreedyError("config coefficients on B must have modulus >= 1")
     lhs, rhs = _property_sides(cfg)
-    ratio = _ratio("Cb", oracle, family, {"lhs": lhs, "rhs": rhs})
-    # projection form on the same configuration: A is disjoint from the
-    # support, so projecting it away leaves x alone
-    p_ratio = oracle.norm(cfg.x) / oracle.norm(rhs) if cfg.x.entries else 0.0
-    out = {"ratio": ratio, "projection_ratio": p_ratio}
-    if certified_bound is not None:
-        out["within_bound"] = ratio <= certified_bound + 1e-9
-    return out
+    return {"ratio": _ratio("Cb", oracle, family, {"lhs": lhs, "rhs": rhs})}
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +644,6 @@ class TheoremSuiteSpec:
     sign_set_size: int = 8
     grid_dim: int = 4
     m_cap: int = 3
-    certified: dict = field(default_factory=dict)
 
 
 def _grid_equality_check(oracle, family, dim: int):
@@ -662,9 +653,9 @@ def _grid_equality_check(oracle, family, dim: int):
     the grid).  Both maxima come from the library's definitions, over an
     oracle that reads one table of the grid's norms, each evaluated once:
     the residual of every greedy set (greedy_set's enumerate-all mode)
-    against almost_greedy_error, and property_A_check's direct ratio (its
-    projection ratio ||x|| / ||x + b_B|| is the direct ratio of the assignment
-    with the same x and B and with A empty).  Returns both maxima and the verdict."""
+    against almost_greedy_error, and property_A_check's ratio (the
+    assignments with A empty give its projection form).  Returns both maxima
+    and the verdict."""
     idxs = range(1, dim + 1)
     grid = [SparseVector(dict(zip(idxs, t)))
             for t in product((-1.0, 0.0, 1.0), repeat=dim)]
@@ -697,16 +688,17 @@ def _grid_equality_check(oracle, family, dim: int):
 def theorem_suite(oracle, family, spec: TheoremSuiteSpec) -> dict:
     """Cross-checks the characterization inequalities predict on samples.
 
-    (a) greedy residual against the product of certified constants when both
-    are supplied, else recorded-only; (b) sign-flip comparability against a
-    certified suppression constant; (c) exact equality of the almost-greedy
-    and sign-splitting maxima on fully enumerated small grids.
+    Constants are read from the space's own `oracle.certified`: (a) greedy
+    residual against the product Ks*Cb when the space certifies both, else
+    recorded-only; (b) sign-flip comparability against a certified Cl;
+    (c) exact equality of the almost-greedy and sign-splitting maxima on fully
+    enumerated small grids.
     """
     rng = random.Random(spec.seed)
     checks = []
 
-    ks = spec.certified.get("Ks")
-    cb = spec.certified.get("Cb")
+    ks = oracle.certified.get("Ks")
+    cb = oracle.certified.get("Cb")
     sampling = SearchSpec(samples=spec.samples, m_cap=spec.m_cap)
     configs = (("sampled", cfg) for cfg in _sampled_configs(
         "Cg", rng, oracle, family, sampling))
@@ -721,7 +713,7 @@ def theorem_suite(oracle, family, spec: TheoremSuiteSpec) -> dict:
         checks.append({"name": "greedy-ratio-recorded", "status": "RECORDED",
                        "value": worst, "witness": worst_wit})
 
-    cl = spec.certified.get("Cl")
+    cl = oracle.certified.get("Cl")
     if cl is not None:
         bad = None
         hi = min(oracle.dimension_cap, 64)

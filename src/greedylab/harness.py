@@ -50,9 +50,10 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentDef:
+    """`defaults` declares the parameters: each parses as its default's type
+    (a text default is an ordinal); an integer one is a count, at least 0."""
     runner: object
     defaults: dict
-    param_types: dict
     description: str
 
 
@@ -94,10 +95,11 @@ def parse_config(path) -> ExperimentSpec:
     definition = EXPERIMENTS[experiment]
     params = dict(definition.defaults)
     for key, (val, lineno) in raw_params.items():
-        if key not in definition.param_types:
+        if key not in definition.defaults:
             raise ConfigError(f"line {lineno}: unknown key {key!r} for {experiment}")
+        parse = int if isinstance(definition.defaults[key], int) else _check_ordinal
         try:
-            params[key] = definition.param_types[key](val)
+            params[key] = parse(val)
         except (ValueError, OrdinalError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}")
     return ExperimentSpec(experiment, params, seed)
@@ -361,28 +363,23 @@ def _run_m31(spec, out_dir):
 EXPERIMENTS = {
     "repro-kt-00": ExperimentDef(
         _run_kt_00, {"n_min": 2, "n_max": 64},
-        {"n_min": int, "n_max": int},
         "window-space closed forms: positive vs alternating weighted sums"),
     "repro-parity": ExperimentDef(
-        _run_parity, {"n_max": 100}, {"n_max": int},
+        _run_parity, {"n_max": 100},
         "parity norm democracy failure: ratio grows like sqrt(N)"),
     "repro-l2sum": ExperimentDef(
         _run_l2sum, {"samples": 2000, "size_cap": 200},
-        {"samples": int, "size_cap": int},
         "l2 block sum: two-sided square-root democracy bounds"),
     "repro-james": ExperimentDef(
         _run_james, {"samples": 500, "witness_count": 3},
-        {"samples": int, "witness_count": int},
         "interval-system space: greedy removal is non-expansive; alternating "
         "averages have small norm"),
     "repro-walpha": ExperimentDef(
         _run_walpha, {"blocks": 4, "n0": 2, "samples": 500},
-        {"blocks": int, "n0": int, "samples": int},
         "weighted truncated space: normalized basis, bounded small-family "
         "sets, growing democracy ratios"),
     "repro-m31": ExperimentDef(
         _run_m31, {"alpha": "w", "m_cap": 12, "samples": 200},
-        {"alpha": _check_ordinal, "m_cap": int, "samples": int},
         "finite sets with min >= 2 join some finite offset of any level"),
 }
 
@@ -395,12 +392,16 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     if spec.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {spec.experiment!r}")
     definition = EXPERIMENTS[spec.experiment]
-    unknown = set(spec.params) - set(definition.param_types)
+    unknown = set(spec.params) - set(definition.defaults)
     if unknown:
         raise ConfigError(f"unknown parameters {sorted(unknown)} for "
                           f"{spec.experiment}")
     params = dict(definition.defaults)
     params.update(spec.params)
+    for key in sorted(params):
+        if isinstance(params[key], int) and params[key] < 0:
+            raise ConfigError(f"parameter {key!r} of {spec.experiment} must be "
+                              f"at least 0, got {params[key]}")
     spec = ExperimentSpec(spec.experiment, params, spec.seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -162,24 +162,6 @@ def parse_ordinal(text: str) -> Ordinal:
     return Ordinal(tuple(terms))
 
 
-def compare(a: Ordinal, b: Ordinal) -> int:
-    """-1, 0 or 1 for the ordinal order."""
-    if a.terms < b.terms:
-        return -1
-    if a.terms > b.terms:
-        return 1
-    return 0
-
-
-def classify(a: Ordinal):
-    """(kind, predecessor-or-None); predecessor is set only for successors."""
-    if a.is_zero:
-        return "zero", None
-    if a.is_successor:
-        return "successor", a.predecessor()
-    return "limit", None
-
-
 def fundamental_term(a: Ordinal, m: int) -> Ordinal:
     """m-th term of the canonical increasing sequence below the limit ordinal `a`.
 

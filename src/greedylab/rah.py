@@ -137,6 +137,8 @@ def rah_sequence(alpha: Ordinal, stream: IndexStream, count: int,
     """First `count` level-alpha averages on the stream, supports successive
     and disjoint.  Fails loudly with the attained prefix on budget exhaustion:
     the message names the stream element the budget runs out at."""
+    if count < 0:
+        raise FamilyError(f"block count must be at least 0, got {count}")
     budget = support_budget() if max_support is None else max_support
     out = []
     pos = 0
@@ -201,6 +203,8 @@ def rah_schreier_bound_search(alpha: Ordinal, beta: Ordinal, N: int):
     """
     if not alpha < beta:
         raise FamilyError(f"need alpha < beta, got {alpha} and {beta}")
+    if N < 0:
+        raise FamilyError(f"N must be at least 0, got {N}")
     tail = IndexStream.naturals().advance_past(N)
     vec = rah_sequence(beta, tail, 1)[0]
     value = schreier_alpha_norm(vec, alpha)

@@ -333,6 +333,9 @@ def family_subsets(handle: FamilyHandle, universe_bound: int, size_cap: int):
 
     Order: by size, then lexicographically by elements; each member once.
     """
+    if universe_bound < 0 or size_cap < 0:
+        raise FamilyError(f"universe bound and size cap must be at least 0, "
+                          f"got {universe_bound} and {size_cap}")
     if universe_bound > ENUMERATION_UNIVERSE_CAP:
         raise FamilyError(
             f"universe bound {universe_bound} exceeds the enumeration cap "

@@ -196,7 +196,8 @@ def test_cli_error_paths(capsys, tmp_path):
                  ("family", "enumerate", "--family", "s:1", "--universe", "3",
                   "--max-size", "-1"),
                  ("constants", "estimate", "--space", "parity", "--family",
-                  "s:1", "--name", "Cg", "--samples", "-3")):
+                  "s:1", "--name", "Cg", "--samples", "-3"),
+                 ("rah", "ppp1", "--alpha", "1", "--beta", "2", "--N", "-1")):
         assert main(list(argv)) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
@@ -238,6 +239,26 @@ def test_rah_commands_print_the_recorded_bytes(capsys):
     for argv, (want, digest) in RAH_GOLDEN.items():
         code, out = run_cli(capsys, *argv)
         assert code == want
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the sign-flip status and SHA-256 of the stdout of `theorems check`:
+# james:a=1 grades sign-flip comparability from its own certified Cl,
+# parity certifies no Cl
+THEOREMS_GOLDEN = {
+    "james:a=1": ("PASS",
+                  "d00dcc82a763655db0e628d70c50718ee424349dd3ff5bbf6205cea0f9bed448"),
+    "parity": ("RECORDED",
+               "fdca2e8a2bb7038a5866d1fa28dcd487a11f2412cbe294a5f6160b7a70078328"),
+}
+
+
+def test_theorems_check_prints_the_recorded_bytes(capsys):
+    for space, (sign_flip, digest) in THEOREMS_GOLDEN.items():
+        code, out = run_cli(capsys, "theorems", "check", "--space", space)
+        assert code == 0
+        checks = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+        assert checks["sign-flip-comparability"] == sign_flip
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -85,6 +85,15 @@ def test_support_enumeration_wall(error):
     error(wide.drop((23,)), 0, parity, S1)
 
 
+def test_estimate_refuses_negative_samples():
+    # returned the trivial bound 1.0 with "samples": -3 in its spec
+    parity = make_space("parity")
+    with pytest.raises(GreedyError, match="^samples must be at least 0, got -3$"):
+        estimate_constant("Cg", parity, S1, SearchSpec(samples=-3))
+    none = estimate_constant("Cg", parity, S1, SearchSpec(samples=0))
+    assert (none.lower_bound, none.witness) == (1.0, {"kind": "trivial"})
+
+
 def test_sigma_examples():
     parity = make_space("parity")
     x = SparseVector({1: 1.0, 2: 1.0, 4: 1.0})
@@ -640,11 +649,12 @@ def test_estimates_and_theorem_reports_golden():
     out["template:kt-alternating"] = estimate_constant(
         "Ks", make_space("kt:N=16"), S1,
         SearchSpec(samples=0, template="kt-alternating")).to_dict()
-    out["suite:parity"] = theorem_suite(make_space("parity"), S1, TheoremSuiteSpec(
-        seed=5, samples=10, sign_sets=4, sign_set_size=4, grid_dim=3,
-        certified={"Ks": 1.0, "Cb": 1.5, "Cl": 2.0}))
-    out["suite:james:a=1"] = theorem_suite(make_space("james:a=1"), S1, TheoremSuiteSpec(
-        seed=5, samples=10, sign_sets=4, sign_set_size=4, grid_dim=3))
+    suite = TheoremSuiteSpec(seed=5, samples=10, sign_sets=4, sign_set_size=4,
+                             grid_dim=3)
+    out["suite:parity"] = theorem_suite(dataclasses.replace(
+        make_space("parity"), certified={"Ks": 1.0, "Cb": 1.5, "Cl": 2.0}), S1, suite)
+    out["suite:james:a=1"] = theorem_suite(dataclasses.replace(
+        make_space("james:a=1"), certified={}), S1, suite)
     digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
     assert digest == GOLDEN_ESTIMATES_SHA256
 
@@ -689,8 +699,10 @@ def test_property_check_validation_and_forms():
         signs={3: 1.0, 5: -1.0},
         b={2: 1.0, 4: -1.5, 6: 2.0},
     )
-    out = property_A_check(parity, S1, cfg, certified_bound=50.0)
-    assert out["ratio"] > 0 and out["within_bound"]
+    lhs = SparseVector({9: 0.5, 3: 1.0, 5: -1.0})
+    rhs = SparseVector({9: 0.5, 2: 1.0, 4: -1.5, 6: 2.0})
+    out = property_A_check(parity, S1, cfg)
+    assert out == {"ratio": parity.norm(lhs) / parity.norm(rhs)}
     bad = PropertyConfig(x=SparseVector({1: 0.5}), A=(1,), B=(2,),
                          signs={1: 1.0}, b={2: 1.0})
     with pytest.raises(GreedyError):
@@ -711,10 +723,9 @@ def test_property_forms_agree_on_pools():
                                                  set_size_cap=4))
         if cfg is None:
             continue
-        out = property_A_check(parity, S1, cfg)
-        direct.append(out["ratio"])
-        projected.append(out["projection_ratio"])
+        direct.append(property_A_check(parity, S1, cfg)["ratio"])
         lhs, rhs = _property_sides(cfg)
+        projected.append(parity.norm(cfg.x) / parity.norm(rhs))
         projected.append(parity.norm(lhs) / parity.norm(rhs))
     assert max(direct) <= max(projected) + 1e-9
     assert max(projected) <= max(direct) + 1e-9
@@ -724,7 +735,7 @@ def test_projection_ratio_is_the_direct_ratio_with_A_empty():
     # why the grid check reads only the direct ratio: the projection ratio
     # of a configuration is exactly the direct ratio of the configuration
     # with the same x and B and with A empty
-    from greedylab.greedy import _random_property_config
+    from greedylab.greedy import _property_sides, _random_property_config
 
     spec = SearchSpec(index_range=20, support_cap=6, set_size_cap=4)
     rng = random.Random(41)
@@ -736,17 +747,17 @@ def test_projection_ratio_is_the_direct_ratio_with_A_empty():
             if cfg is None:
                 continue
             unsplit = dataclasses.replace(cfg, A=(), signs={})
-            assert (property_A_check(oracle, S1, cfg)["projection_ratio"]
+            projection = oracle.norm(cfg.x) / oracle.norm(_property_sides(cfg)[1])
+            assert (projection
                     == property_A_check(oracle, S1, unsplit)["ratio"]), (descriptor, cfg)
             checked += 1
     assert checked >= 1000
 
 
 def test_theorem_suite_parity_grid_equality():
-    parity = make_space("parity")
+    parity = dataclasses.replace(make_space("parity"), certified={"Ks": 1.0, "Cl": 2.0})
     report = theorem_suite(parity, S1,
-                           TheoremSuiteSpec(seed=1, samples=30, grid_dim=5,
-                                            certified={"Cl": 2.0}))
+                           TheoremSuiteSpec(seed=1, samples=30, grid_dim=5))
     by_name = {c["name"]: c for c in report["checks"]}
     grid = by_name["grid-constant-equality"]
     assert grid["status"] == "PASS", grid
@@ -789,11 +800,11 @@ def test_theorem_suite_evaluates_each_grid_norm_once(descriptor):
 
 
 def test_theorem_suite_james_certified():
+    # the space's own certified Cl = 1 is graded
     james = make_space("james:a=1")
     report = theorem_suite(james, S1,
                            TheoremSuiteSpec(seed=2, samples=15, sign_sets=8,
-                                            sign_set_size=6, grid_dim=4,
-                                            certified={"Cl": 1.0}))
+                                            sign_set_size=6, grid_dim=4))
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["sign-flip-comparability"]["status"] == "PASS"
     assert by_name["grid-constant-equality"]["status"] == "PASS"
@@ -804,7 +815,8 @@ def test_theorem_suite_sign_sets_fit_a_small_space():
     # kt:N=2 has 3 coordinates; sign sets of up to 8 points raised
     # "Sample larger than population"
     kt = make_space("kt:N=2")
-    report = theorem_suite(kt, S1, TheoremSuiteSpec(samples=5, certified={"Cl": 1.0}))
+    kt = dataclasses.replace(kt, certified={**kt.certified, "Cl": 1.0})
+    report = theorem_suite(kt, S1, TheoremSuiteSpec(samples=5))
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["sign-flip-comparability"]["status"] == "PASS"
 
@@ -824,7 +836,8 @@ def test_best_coefficients_reports_an_unconverged_search(monkeypatch):
 
 def test_theorem_suite_sign_flip_failure_carries_its_witness():
     kt = make_space("kt:N=8")
-    report = theorem_suite(kt, S1, TheoremSuiteSpec(certified={"Cl": 0.3}))
+    kt = dataclasses.replace(kt, certified={**kt.certified, "Cl": 0.3})
+    report = theorem_suite(kt, S1, TheoremSuiteSpec())
     check = {c["name"]: c for c in report["checks"]}["sign-flip-comparability"]
     assert check["status"] == "FAIL"
     wit = check["witness"]

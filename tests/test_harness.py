@@ -156,6 +156,42 @@ def test_unknown_parameter_rejected(tmp_path):
         run_experiment(ExperimentSpec("repro-parity", {"n_maxx": 3}), tmp_path)
 
 
+def test_config_values_parse_as_their_defaults(tmp_path):
+    # an int default parses as an int, a text default as an ordinal
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = repro-m31\nalpha = w^2 + 1\nm_cap = 7\n")
+    assert parse_config(cfg).params == {"alpha": "w^2 + 1", "m_cap": 7,
+                                        "samples": 200}
+    for line, message in (
+            ("m_cap = w", "line 2: bad value for 'm_cap': invalid literal for "
+                          "int() with base 10: 'w'"),
+            ("m_cap = 2.5", "line 2: bad value for 'm_cap': invalid literal for "
+                            "int() with base 10: '2.5'"),
+            ("beta = 3", "line 2: unknown key 'beta' for repro-m31")):
+        cfg.write_text(f"experiment = repro-m31\n{line}\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(cfg)
+        assert str(info.value) == message
+
+
+def test_negative_integer_parameters_rejected(tmp_path):
+    # samples = -5 passed, over a header-only CSV
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = repro-l2sum\nsamples = -5\n")
+    for spec, message in (
+            (parse_config(cfg), "'samples' of repro-l2sum must be at least 0, got -5"),
+            (ExperimentSpec("repro-walpha", {"n0": -1}),
+             "'n0' of repro-walpha must be at least 0, got -1"),
+            (ExperimentSpec("repro-m31", {"samples": -1, "m_cap": -2}),
+             "'m_cap' of repro-m31 must be at least 0, got -2")):
+        with pytest.raises(ConfigError) as info:
+            run_experiment(spec, tmp_path / "out")
+        assert str(info.value) == "parameter " + message
+    assert not (tmp_path / "out").exists()
+    summary = run_experiment(ExperimentSpec("repro-l2sum", {"samples": 0}), tmp_path)
+    assert summary["status"] == "PASS"
+
+
 def test_walpha_family_past_the_cap_is_a_budget_status(tmp_path):
     # the fifth block would start past a start of 402653213 bits
     summary = run_experiment(ExperimentSpec("repro-walpha", {"blocks": 5}),

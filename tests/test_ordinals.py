@@ -2,21 +2,24 @@ import random
 
 import pytest
 
-from greedylab.ordinals import (OMEGA, ZERO, Ordinal, OrdinalError, classify,
-                                compare, fundamental_term, parse_ordinal)
+from greedylab.ordinals import (OMEGA, ZERO, Ordinal, OrdinalError,
+                                fundamental_term, parse_ordinal)
 
 
 def test_compare_examples():
-    assert compare(ZERO, ZERO) == 0
-    assert compare(OMEGA, OMEGA.plus(1)) == -1
-    assert compare(parse_ordinal("w*2"), parse_ordinal("w + 5")) == 1
+    assert ZERO == ZERO and not ZERO < ZERO
+    assert OMEGA < OMEGA.plus(1) and not OMEGA.plus(1) < OMEGA
+    assert parse_ordinal("w + 5") < parse_ordinal("w*2")
+    assert parse_ordinal("w*2") != parse_ordinal("w + 5")
 
 
 def test_classify_examples():
-    assert classify(ZERO) == ("zero", None)
-    kind, pred = classify(parse_ordinal("w + 3"))
-    assert kind == "successor" and pred == parse_ordinal("w + 2")
-    assert classify(parse_ordinal("w^2")) == ("limit", None)
+    assert ZERO.is_zero and not ZERO.is_successor and not ZERO.is_limit
+    succ = parse_ordinal("w + 3")
+    assert succ.is_successor and not succ.is_zero and not succ.is_limit
+    assert succ.predecessor() == parse_ordinal("w + 2")
+    limit = parse_ordinal("w^2")
+    assert limit.is_limit and not limit.is_zero and not limit.is_successor
     assert [parse_ordinal(t).finite_part
             for t in ("0", "5", "w", "w^2*2 + 3")] == [0, 5, 0, 3]
 
@@ -67,7 +70,7 @@ def test_total_order_on_random_triples():
         if a < b:
             assert not b < a
         if a == b:
-            assert compare(a, b) == 0
+            assert not a < b and not b < a
         # transitivity
         if a < b and b < c:
             assert a < c

@@ -172,6 +172,16 @@ def test_tail_certificates():
         rah_schreier_bound_search(ONE, ONE, 2)
 
 
+def test_negative_counts_are_refused():
+    # both returned: no blocks, and a certificate for the "tail past -1"
+    with pytest.raises(FamilyError, match="^block count must be at least 0, got -1$"):
+        rah_sequence(TWO, IndexStream.naturals(3), -1)
+    with pytest.raises(FamilyError, match="^N must be at least 0, got -1$"):
+        rah_schreier_bound_search(ONE, TWO, -1)
+    assert rah_sequence(TWO, IndexStream.naturals(3), 0) == []
+    assert rah_schreier_bound_search(ONE, TWO, 0).stream.min == 1
+
+
 def test_tail_certificates_hold_at_the_first_tail():
     # every level pair here either certifies on the tail past N or runs out
     # of support budget building its first average; no later cut is needed

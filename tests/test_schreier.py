@@ -278,6 +278,17 @@ def test_family_subsets_examples():
     assert list(family_subsets(ps, 2, 2)) == [(), (1,), (2,), (1, 2)]
     s0 = FamilyHandle.parse("s:0")
     assert list(family_subsets(s0, 3, 3)) == [(), (1,), (2,), (3,)]
+    assert list(family_subsets(s1, 0, 2)) == list(family_subsets(s1, 3, 0)) == [()]
+
+
+def test_family_subsets_refuses_negative_counts():
+    # a negative universe yielded the empty set, a negative size cap nothing
+    s1 = FamilyHandle.parse("s:1")
+    for universe, size_cap in ((-1, 2), (3, -1)):
+        with pytest.raises(FamilyError, match=(
+                "^universe bound and size cap must be at least 0, "
+                f"got {universe} and {size_cap}$")):
+            list(family_subsets(s1, universe, size_cap))
 
 
 HANDLES = [FamilyHandle.powerset()] + [
