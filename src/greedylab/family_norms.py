@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import accumulate, combinations, product
-from operator import sub
 
 from .config import BudgetExceeded, node_budget
 from .ordinals import ONE, ZERO, Ordinal, fundamental_term
@@ -114,9 +113,6 @@ class _WindowDP:
     from r on demand:
 
     - sup norm, level 1: the `_s1_best` heap scan, resumed per right end r;
-    - interval norm, level 0: one interval, worth the widest spread of the
-      signed prefix sums over positions s..r (no row: a successor level
-      takes the spreads for all right ends from one running max and min);
     - successor level b+1: C[u][k], the best union of at most k successive
       level-b members inside [u, r), is the larger of C[u+1][k] and
       best(b, u, w) + C[w][k-1] over w > u.  A union inside [t, r) of at
@@ -128,10 +124,32 @@ class _WindowDP:
       [t, r) lies at the limit level (its minimum is >= idx[t]), so the row
       is the running max of those values.
 
-    Every table entry and every candidate of a max is one cell; the DP
-    raises BudgetExceeded, carrying the sum of the greedy-maximal member
-    from the first position, rather than pass `max_cells`, which defaults to
-    `node_budget()` once the first cell is spent.
+    The successor step scans only candidates that can win, by three rules
+    resting on the families being hereditary and spreading:
+
+    - split points: with R = min(reach(b, u), r), every window [u, w) with
+      w <= R is a member worth ps[w] - ps[u], and C[w][k-1] <= (ps[R] -
+      ps[w]) + C[R][k-1] (cut a union at R: the part before R is worth at
+      most its sum of |x|, the rest is a union inside [R, r), an interval
+      crossing R restarting at R), so w runs over R..r only;
+    - block counts: cover(u) greedy level-b blocks tile [u, r) (1 if R = r,
+      else 1 + cover(R)), so C[u][k] = ps[r] - ps[u] for k >= cover(u).  k
+      stops at min(per_min * idx[u], cover(u)), which equals min(per_min *
+      idx[u], 1 + the stop of C[R]) (0 at R = r), the length of the column
+      C[R]; a read past the end of a column takes its last entry;
+    - interval norm over level 0: a level-0 member is one interval, so
+      C[u][k] is the larger of C[u+1][k] and |sp[q] - sp[u]| + C[q][k-1]
+      over q > u (an interval from u ending before q <= w leaves C[q][k-1]
+      >= C[w][k-1]).  The row keeps the running maxima of sp[q] + C[q][j]
+      and C[q][j] - sp[q] over the positions filled, as `_james_dp_level1`
+      does on the whole support, so a position costs k cells, not k(r - u).
+
+    Every candidate scanned is one cell: k(r - R + 1) per successor-level
+    position, k over level 0, one per limit-level position and one per
+    level-1 heap step.  The DP raises BudgetExceeded, carrying the sum of the
+    greedy-maximal member from the first position, rather than pass
+    `max_cells`, which defaults to `node_budget()` once the first cell is
+    spent.
     """
 
     def __init__(self, values, alpha, max_cells, signed=None):
@@ -175,20 +193,19 @@ class _WindowDP:
             self._fill(level, row, s, r)
         return row.best[s]
 
-    def _blocks(self, level, u, r):
-        """best(level, u, w) for w = u+1..r."""
-        if level.is_zero:
-            span = self.sp[u:r + 1]
-            return list(map(sub, accumulate(span, max), accumulate(span, min)))[1:]
-        ps = self.ps
-        base, end = ps[u], self.reach(level, u)
-        return [ps[w] - base if w <= end else self.best(level, u, w)
-                for w in range(u + 1, r + 1)]
+    def _blocks(self, level, u, R, r):
+        """(w, best(level, u, w)) for the split points w = R..r that can win,
+        R = min(reach(level, u), r)."""
+        yield R, self.ps[R] - self.ps[u]
+        for w in range(R + 1, r + 1):
+            yield w, self.best(level, u, w)
 
     def _fill(self, level, row, s, r):
         idxs, vals = self.idxs, self.vals
         W = row.best
         positions = range(row.lo - 1, s - 1, -1)
+        per_min = 2 if self._relaxed(level) else 1
+        cols = row.cols
         if level == ONE and self.sp is None:
             self._spend(row.lo - s)
             heap, total = row.heap, row.total
@@ -204,27 +221,43 @@ class _WindowDP:
                 self._spend(1)
                 v = self.best(fundamental_term(level, idxs[u]).successor(), u, r)
                 W[u] = v if v > W[u + 1] else W[u + 1]
-        else:
-            pred = level.predecessor()
-            per_min = 2 if self._relaxed(level) else 1
-            cols = row.cols
+        elif level == ONE:
+            # C[u][k] is the largest of C[u+1][k], up[k-1] - sp[u] and
+            # dn[k-1] + sp[u], where up[j] and dn[j] are the maxima of
+            # sp[q] + C[q][j] and C[q][j] - sp[q] over the q > u filled, from
+            # q = r, where the interval runs to the end
+            sp = self.sp
+            if row.up is None:
+                row.up, row.dn = [sp[r]], [-sp[r]]
+            up, dn = row.up, row.dn
             for u in positions:
                 K = min(per_min * idxs[u], r - u)
-                self._spend(K * (r - u))
-                nxt = cols[u + 1]
-                top = len(nxt) - 1
-                col = [0] + [nxt[min(k, top)] for k in range(1, K + 1)]
-                for w, bw in enumerate(self._blocks(pred, u, r), u + 1):
-                    rest = cols[w]
-                    for k, c in enumerate(rest[:K], 1):
-                        c += bw
-                        if c > col[k]:
-                            col[k] = c
-                    # C[w][j] for j past the positions left is C[w][-1]
-                    c = rest[-1] + bw
-                    for k in range(len(rest) + 1, K + 1):
-                        if c > col[k]:
-                            col[k] = c
+                self._spend(K)
+                p = sp[u]
+                col = [0]
+                for a, b, f in zip(up, dn, _padded(cols[u + 1], K + 1)[1:]):
+                    a -= p
+                    b += p
+                    c = a if a >= b else b
+                    col.append(c if c > f else f)
+                if K == len(up):
+                    # K = r - u, one more than at u + 1, and each C[q] with
+                    # q > u ends before j = K: the new entry is the last one
+                    up.append(up[-1])
+                    dn.append(dn[-1])
+                up[:K + 1] = map(max, up, [p + f for f in col])
+                dn[:K + 1] = map(max, dn, [f - p for f in col])
+                cols[u] = col
+                W[u] = col[K] if col[K] > W[u + 1] else W[u + 1]
+        else:
+            pred = level.predecessor()
+            for u in positions:
+                R = min(self.reach(pred, u), r)
+                K = min(per_min * idxs[u], len(cols[R]))
+                self._spend(K * (r - R + 1))
+                col = _padded(cols[u + 1], K + 1)
+                for w, bw in self._blocks(pred, u, R, r):
+                    col[1:] = map(max, col[1:], [c + bw for c in _padded(cols[w], K)])
                 cols[u] = col
                 W[u] = col[K] if col[K] > W[u + 1] else W[u + 1]
         row.lo = s
@@ -237,10 +270,6 @@ class _WindowDP:
             return idxs[s:r]
         if level == ONE and self.sp is None:
             return _s1_best(list(zip(idxs[s:r], self.vals[s:r])), True)[1]
-        if level.is_zero:
-            # the interval starts at the earlier of the extreme prefix sums
-            span = self.sp[s:r + 1]
-            return (idxs[s + min(span.index(max(span)), span.index(min(span)))],)
         target = self.best(level, s, r)
         if level.is_limit:
             steps = ((fundamental_term(level, idxs[t]).successor(), t)
@@ -248,7 +277,7 @@ class _WindowDP:
             step, t = next((b, t) for b, t in steps if self.best(b, t, r) == target)
             return self.witness(step, t, r)
         pred = level.predecessor()
-        cols = self._rows[(level, r)].cols
+        sp, cols = self.sp, self._rows[(level, r)].cols
         u = next(t for t in range(s, r) if cols[t][-1] == target)
         k = len(cols[u]) - 1
         out = ()
@@ -257,27 +286,45 @@ class _WindowDP:
             if nxt[min(k, len(nxt) - 1)] == target:
                 u += 1
                 continue
-            for w, bw in enumerate(self._blocks(pred, u, r), u + 1):
-                rest = cols[w][min(k - 1, len(cols[w]) - 1)]
-                if bw + rest == target:
-                    break
-            out += self.witness(pred, u, w)
+            if pred.is_zero:
+                # the interval from u ends before w; the same float
+                # expressions as the fill's running maxima
+                for w in range(u + 1, r + 1):
+                    rest = cols[w][min(k - 1, len(cols[w]) - 1)]
+                    if max((sp[w] + rest) - sp[u], (rest - sp[w]) + sp[u]) == target:
+                        break
+                out += (idxs[u],)
+            else:
+                for w, bw in self._blocks(pred, u, min(self.reach(pred, u), r), r):
+                    rest = cols[w][min(k - 1, len(cols[w]) - 1)]
+                    if bw + rest == target:
+                        break
+                out += self.witness(pred, u, w)
             u, k, target = w, k - 1, rest
         return out
 
 
+def _padded(column, n):
+    """The first n entries of a C column, padded with its last: C[w][j] for
+    j past the blocks that cover [w, r) is C[w][-1]."""
+    head = column[:n]
+    return head + head[-1:] * (n - len(head))
+
+
 class _Row:
     """One memoised row: values for starts lo..r and the state that resumes
-    the fill below lo (the level-1 heap, or the C columns)."""
+    the fill below lo (the level-1 heap, or the C columns and, over level 0,
+    the running maxima of +-sp[q] + C[q][j] over q >= lo)."""
 
-    __slots__ = ("lo", "best", "heap", "total", "cols")
+    __slots__ = ("lo", "best", "heap", "total", "cols", "up", "dn")
 
     def __init__(self, r):
         self.lo = r
         self.best = [0] * (r + 1)
         self.heap = []
         self.total = 0
-        self.cols = [None] * r + [(0,)]
+        self.cols = [None] * r + [[0]]
+        self.up = self.dn = None
 
 
 def _sup_best(entries, alpha, max_cells, want_witness):
@@ -419,8 +466,7 @@ def _james_dp_level1(support, coeffs, max_cells, want_witness):
 
 def _interval_best(support, coeffs, alpha, max_cells, want_witness):
     """Exact interval-system optimum by the window DP, with the minima chain
-    that attains it.  It is also the level-1 reference the tests compare
-    `_james_dp_level1` against, so it stays a function of its own."""
+    that attains it."""
     n = len(support)
     dp = _WindowDP(list(zip(support, map(abs, coeffs))), alpha, max_cells,
                    signed=coeffs)
@@ -457,14 +503,20 @@ def interval_functional(x: SparseVector, alpha: Ordinal = ONE):
     """
     value, minima = jamesification_norm(x, alpha, want_witness=True)
     f = {}
-    for lo, stop in zip(minima, minima[1:] + (x.max_index() + 1,)):
-        run = peak = 0
-        end = lo
-        for i, v in x.entries.items():
-            if lo <= i < stop:
-                run += v
-                if abs(run) > abs(peak):
-                    peak, end = run, i
+    opens = iter(minima)  # support points, met in one pass over the entries
+    nxt, lo = next(opens, None), None
+    for i, v in x.entries.items():
+        if i == nxt:
+            if lo is not None:
+                f.update(dict.fromkeys(range(lo, end + 1), (peak > 0) - (peak < 0)))
+            lo = end = i
+            run = peak = 0
+            nxt = next(opens, None)
+        if lo is not None:
+            run += v
+            if abs(run) > abs(peak):
+                peak, end = run, i
+    if lo is not None:
         f.update(dict.fromkeys(range(lo, end + 1), (peak > 0) - (peak < 0)))
     return value, SparseVector(f)
 

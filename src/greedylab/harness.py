@@ -51,10 +51,15 @@ class ExperimentSpec:
 @dataclass
 class ExperimentDef:
     """`defaults` declares the parameters: each parses as its default's type
-    (a text default is an ordinal); an integer one is a count, at least 0."""
+    (a text default is an ordinal); an integer one is a count, at least 0,
+    and at least its `least` entry where the runner needs more.  Each
+    (lo, hi) pair of `ordered` bounds a range the runner walks, which must
+    not be empty."""
     runner: object
     defaults: dict
     description: str
+    least: dict = field(default_factory=dict)
+    ordered: tuple = ()
 
 
 def _check_ordinal(raw):
@@ -363,13 +368,15 @@ def _run_m31(spec, out_dir):
 EXPERIMENTS = {
     "repro-kt-00": ExperimentDef(
         _run_kt_00, {"n_min": 2, "n_max": 64},
-        "window-space closed forms: positive vs alternating weighted sums"),
+        "window-space closed forms: positive vs alternating weighted sums",
+        least={"n_min": 1}, ordered=(("n_min", "n_max"),)),
     "repro-parity": ExperimentDef(
         _run_parity, {"n_max": 100},
         "parity norm democracy failure: ratio grows like sqrt(N)"),
     "repro-l2sum": ExperimentDef(
         _run_l2sum, {"samples": 2000, "size_cap": 200},
-        "l2 block sum: two-sided square-root democracy bounds"),
+        "l2 block sum: two-sided square-root democracy bounds",
+        least={"size_cap": 1}),
     "repro-james": ExperimentDef(
         _run_james, {"samples": 500, "witness_count": 3},
         "interval-system space: greedy removal is non-expansive; alternating "
@@ -377,7 +384,8 @@ EXPERIMENTS = {
     "repro-walpha": ExperimentDef(
         _run_walpha, {"blocks": 4, "n0": 2, "samples": 500},
         "weighted truncated space: normalized basis, bounded small-family "
-        "sets, growing democracy ratios"),
+        "sets, growing democracy ratios",
+        least={"blocks": 1, "n0": 1}),
     "repro-m31": ExperimentDef(
         _run_m31, {"alpha": "w", "m_cap": 12, "samples": 200},
         "finite sets with min >= 2 join some finite offset of any level"),
@@ -398,10 +406,18 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
                           f"{spec.experiment}")
     params = dict(definition.defaults)
     params.update(spec.params)
-    for key in sorted(params):
-        if isinstance(params[key], int) and params[key] < 0:
-            raise ConfigError(f"parameter {key!r} of {spec.experiment} must be "
-                              f"at least 0, got {params[key]}")
+    # every count first, so that a negative one keeps the count rule's message
+    for floors in ({}, definition.least):
+        for key in sorted(params):
+            floor = floors.get(key, 0)
+            if isinstance(params[key], int) and params[key] < floor:
+                raise ConfigError(f"parameter {key!r} of {spec.experiment} must "
+                                  f"be at least {floor}, got {params[key]}")
+    for lo, hi in definition.ordered:
+        if params[lo] > params[hi]:
+            raise ConfigError(f"parameters {lo!r} = {params[lo]} and {hi!r} = "
+                              f"{params[hi]} of {spec.experiment} leave nothing "
+                              f"to run: {lo!r} must not exceed {hi!r}")
     spec = ExperimentSpec(spec.experiment, params, spec.seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -6,8 +6,9 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from greedylab.config import BudgetExceeded
+from greedylab.family_norms import _WindowDP
 from greedylab.greedy import GreedyError
-from greedylab.ordinals import Ordinal, fundamental_term
+from greedylab.ordinals import ONE, Ordinal, fundamental_term
 from greedylab.schreier import check_index_set, family_members_within
 from greedylab.vectors import SparseVector
 
@@ -94,6 +95,43 @@ def schreier_member_backtracking(E, alpha: Ordinal, _cache=None) -> bool:
         return res
 
     return member(E, alpha)
+
+
+class WindowDPReference(_WindowDP):
+    """The window DP with its successor step as first written: every split
+    point w = u+1..r, block counts up to min(per_min * min, r - u), and the
+    interval norm's level 0 as one interval, worth the widest spread of the
+    signed prefix sums over the window.  Cells are spent as that step spent
+    them, k(r - u) per position; the level-1 heap scan and the limit levels
+    are the library's own."""
+
+    def _fill(self, level, row, s, r):
+        if level.is_limit or (level == ONE and self.sp is None):
+            return super()._fill(level, row, s, r)
+        pred = level.predecessor()
+        per_min = 2 if self._relaxed(level) else 1
+        W, cols = row.best, row.cols
+        for u in range(row.lo - 1, s - 1, -1):
+            K = min(per_min * self.idxs[u], r - u)
+            self._spend(K * (r - u))
+            nxt = cols[u + 1]
+            col = [0] + [nxt[min(k, len(nxt) - 1)] for k in range(1, K + 1)]
+            for w in range(u + 1, r + 1):
+                bw = self._window(pred, u, w)
+                rest = cols[w]
+                for k in range(1, K + 1):
+                    c = rest[min(k - 1, len(rest) - 1)] + bw
+                    if c > col[k]:
+                        col[k] = c
+            cols[u] = col
+            W[u] = max(col[K], W[u + 1])
+        row.lo = s
+
+    def _window(self, level, u, w):
+        if level.is_zero:
+            span = self.sp[u:w + 1]
+            return max(span) - min(span)
+        return self.best(level, u, w)
 
 
 def f_alpha_member_backtracking(F, alpha: Ordinal) -> bool:

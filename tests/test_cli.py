@@ -283,3 +283,19 @@ def test_repro_refuses_a_mismatched_or_missing_name(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_repro_refuses_a_config_its_runner_cannot_run(capsys, tmp_path):
+    # refused as a config error before the output directory is made
+    cfg = tmp_path / "cfg"
+    for text, words in (
+            ("repro-kt-00\nn_min = 0", "'n_min' of repro-kt-00 must be at least 1"),
+            ("repro-kt-00\nn_min = 10\nn_max = 5", "'n_min' = 10 and 'n_max' = 5"),
+            ("repro-walpha\nn0 = 0", "'n0' of repro-walpha must be at least 1"),
+            ("repro-walpha\nblocks = 0", "'blocks' of repro-walpha must be at least 1")):
+        cfg.write_text(f"experiment = {text}\n")
+        out = str(tmp_path / "out")
+        assert main(["repro", "--config", str(cfg), "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and words in captured.err
+    assert not (tmp_path / "out").exists()

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,7 @@ from greedylab.rah import make_weight_family
 from greedylab.schreier import f_alpha_member, schreier_member
 from greedylab.vectors import SparseVector
 
-from references import weighted_norm_pointwise
+from references import WindowDPReference, weighted_norm_pointwise
 
 TWO = parse_ordinal("2")
 SUP_LEVELS = tuple(parse_ordinal(t) for t in ("0", "1", "2", "3", "w", "w+1", "w*2"))
@@ -319,7 +320,10 @@ def test_james_level_one_matches_search_exact(x):
     coeffs = [x.get(i) for i in support]
     val, minima = jamesification_norm(x, want_witness=True)
     found, chain = _interval_best(support, coeffs, ONE, None, True)
-    assert val == found
+    # both run the same recurrence; the first-written window DP does not
+    ref = WindowDPReference(list(zip(support, map(abs, coeffs))), ONE, None,
+                            signed=coeffs)
+    assert val == found == ref.best(ONE, 0, len(support))
     _assert_attaining_chain(x, ONE, val, minima)
     _assert_attaining_chain(x, ONE, val, chain)
 
@@ -502,3 +506,100 @@ def test_window_dp_witness_at_a_limit_level(level):
     assert dp.best(alpha, 0, 4) == 8
     assert dp.witness(alpha, 0, 4) == (2, 3, 4)
     assert naive_schreier_norm(SparseVector(dict(values)), alpha) == 8
+
+
+# ---------------------------------------------------------------------------
+# the window DP against its first-written recurrence, on supports the naive
+# references refuse
+# ---------------------------------------------------------------------------
+
+DP_LEVELS = ([("sup", parse_ordinal(t)) for t in ("2", "3", "w+1", "w*2+1")]
+             + [("interval", a) for a in JAMES_LEVELS])
+_DP_PAYLOADS = {
+    "int": st.integers(-9, 9).filter(bool),
+    "frac": st.fractions(-8, 8, max_denominator=9).filter(bool),
+    "float": st.floats(-2, 2).filter(lambda v: abs(v) > 1e-3),
+}
+
+
+@st.composite
+def _dp_inputs(draw, lo_size, hi_size):
+    """(support, coefficients, payload kind) on lo_size..hi_size points."""
+    n = draw(st.integers(lo_size, hi_size))
+    first = draw(st.integers(1, 6))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
+    kind = draw(st.sampled_from(sorted(_DP_PAYLOADS)))
+    coeffs = draw(st.lists(_DP_PAYLOADS[kind], min_size=n, max_size=n))
+    return list(accumulate([first] + gaps)), coeffs, kind
+
+
+def _window_dp(cls, support, coeffs, norm, alpha, max_cells=None):
+    signed = coeffs if norm == "interval" else None
+    return cls(list(zip(support, map(abs, coeffs))), alpha, max_cells, signed)
+
+
+def _agree(kind, a, b):
+    """Exact payloads agree exactly, floats within 1e-12 relative."""
+    return math.isclose(a, b, rel_tol=1e-12) if kind == "float" else a == b
+
+
+def _assert_dp_witness(support, coeffs, kind, norm, alpha, value, wit):
+    x = SparseVector(dict(zip(support, coeffs)))
+    if norm == "sup":
+        assert schreier_member(wit, alpha) and set(wit) <= set(support)
+        assert _agree(kind, sum(abs(x.get(i)) for i in wit), value)
+    elif kind == "float":
+        assert f_alpha_member(wit, alpha) and set(wit) <= set(support)
+        assert _agree(kind, _chain_value(x, wit), value)
+    else:
+        _assert_attaining_chain(x, alpha, value, wit)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_dp_inputs(15, 40), st.sampled_from(DP_LEVELS))
+def test_window_dp_matches_the_first_written_recurrence(case, level):
+    support, coeffs, kind = case
+    norm, alpha = level
+    n = len(support)
+    dp = _window_dp(family_norms._WindowDP, support, coeffs, norm, alpha, 10**7)
+    ref = _window_dp(WindowDPReference, support, coeffs, norm, alpha, 10**7)
+    value = dp.best(alpha, 0, n)
+    assert _agree(kind, value, ref.best(alpha, 0, n))
+    wit = dp.witness(alpha, 0, n)
+    _assert_dp_witness(support, coeffs, kind, norm, alpha, value, wit)
+    assert dp.cells <= ref.cells
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_dp_inputs(15, 25), st.sampled_from(DP_LEVELS))
+def test_window_dp_rows_resume_where_they_stopped(case, level):
+    # best(level, s, r) for falling s resumes each row below where it
+    # stopped, the running maxima over level 0 included
+    support, coeffs, kind = case
+    norm, alpha = level
+    n = len(support)
+    for lvl in (alpha, ONE):
+        dp = _window_dp(family_norms._WindowDP, support, coeffs, norm, alpha)
+        for s in range(n - 1, -1, -1):
+            fresh = _window_dp(family_norms._WindowDP, support, coeffs, norm, alpha)
+            assert dp.best(lvl, s, n) == fresh.best(lvl, s, n)
+        # the resumed rows did the fresh DP's work, no more
+        assert dp.cells == fresh.cells
+        ref = _window_dp(WindowDPReference, support, coeffs, norm, alpha)
+        value = dp.best(lvl, 0, n)
+        assert _agree(kind, value, ref.best(lvl, 0, n))
+        if lvl == alpha:
+            _assert_dp_witness(support, coeffs, kind, norm, alpha, value,
+                               dp.witness(lvl, 0, n))
+
+
+def test_window_dp_cells_are_the_candidates_scanned():
+    # the first-written successor step spent 3,662 and 104,458 cells here
+    flat = SparseVector({i: 1 for i in range(3, 30)})
+    signed = SparseVector({i: (-1) ** i * i for i in range(2, 41)})
+    for norm, x, cells, value in ((schreier_alpha_norm, flat, 828, 26),
+                                  (jamesification_norm, signed, 7096, 817)):
+        assert norm(x, TWO, max_nodes=cells) == value
+        assert norm(x, TWO, max_nodes=cells, want_witness=True)[0] == value
+        with pytest.raises(BudgetExceeded):
+            norm(x, TWO, max_nodes=cells - 1)

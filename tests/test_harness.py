@@ -192,6 +192,31 @@ def test_negative_integer_parameters_rejected(tmp_path):
     assert summary["status"] == "PASS"
 
 
+def test_parameters_a_runner_cannot_run_are_refused(tmp_path):
+    for spec, message in (
+            (ExperimentSpec("repro-kt-00", {"n_min": 10, "n_max": 5}),
+             "parameters 'n_min' = 10 and 'n_max' = 5 of repro-kt-00 leave "
+             "nothing to run: 'n_min' must not exceed 'n_max'"),
+            (ExperimentSpec("repro-kt-00", {"n_min": 0}),
+             "parameter 'n_min' of repro-kt-00 must be at least 1, got 0"),
+            (ExperimentSpec("repro-walpha", {"n0": 0}),
+             "parameter 'n0' of repro-walpha must be at least 1, got 0"),
+            (ExperimentSpec("repro-walpha", {"blocks": 0, "n0": 0}),
+             "parameter 'blocks' of repro-walpha must be at least 1, got 0"),
+            (ExperimentSpec("repro-l2sum", {"size_cap": 0}),
+             "parameter 'size_cap' of repro-l2sum must be at least 1, got 0")):
+        with pytest.raises(ConfigError) as info:
+            run_experiment(spec, tmp_path / "out")
+        assert str(info.value) == message
+    assert not (tmp_path / "out").exists()
+    # one-point ranges and zero counts the runners can run stay valid
+    for spec in (ExperimentSpec("repro-kt-00", {"n_min": 1, "n_max": 1}),
+                 ExperimentSpec("repro-walpha", {"blocks": 1, "n0": 1,
+                                                 "samples": 0}),
+                 ExperimentSpec("repro-l2sum", {"size_cap": 1, "samples": 3})):
+        assert run_experiment(spec, tmp_path / "ok")["status"] == "PASS"
+
+
 def test_walpha_family_past_the_cap_is_a_budget_status(tmp_path):
     # the fifth block would start past a start of 402653213 bits
     summary = run_experiment(ExperimentSpec("repro-walpha", {"blocks": 5}),

@@ -187,6 +187,30 @@ def test_hereditary_and_spreading_sampled():
             assert schreier_member(tuple(spread), alpha)
 
 
+SPREAD_LEVELS = [parse_ordinal(t) for t in ("1", "2", "3", "w", "w+1")]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.lists(st.integers(1, 3), max_size=12),
+       st.data())
+def test_hereditary_and_spreading_against_backtracking(first, gaps, data):
+    # the window DP's rules rest on both properties; judge them with the
+    # backtracking oracles, not with the walk that assumes them
+    E = tuple(accumulate([first] + gaps))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(E), max_size=len(E)))
+    bumps = data.draw(st.lists(st.integers(0, 4), min_size=len(E), max_size=len(E)))
+    dropped = tuple(v for v, k in zip(E, keep) if k)
+    spread = tuple(v + b for v, b in zip(E, accumulate(bumps)))
+    checks = [(schreier_member_backtracking, SPREAD_LEVELS),
+              (f_alpha_member_backtracking,
+               [a for a in SPREAD_LEVELS if a.is_successor])]
+    for member, levels in checks:
+        for alpha in levels:
+            if member(E, alpha):
+                assert member(dropped, alpha), (alpha, E, dropped)
+                assert member(spread, alpha), (alpha, E, spread)
+
+
 def test_small_lemma_checks():
     # on [1..10]: a member containing 1 is {1}; level 0 and level 2 inclusions
     for alpha in (ONE, TWO, parse_ordinal("3"), OMEGA):
