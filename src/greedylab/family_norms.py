@@ -140,9 +140,10 @@ class _WindowDP:
     - interval norm over level 0: a level-0 member is one interval, so
       C[u][k] is the larger of C[u+1][k] and |sp[q] - sp[u]| + C[q][k-1]
       over q > u (an interval from u ending before q <= w leaves C[q][k-1]
-      >= C[w][k-1]).  The row keeps the running maxima of sp[q] + C[q][j]
-      and C[q][j] - sp[q] over the positions filled, as `_james_dp_level1`
-      does on the whole support, so a position costs k cells, not k(r - u).
+      >= C[w][k-1]).  `_interval_rows` keeps the running maxima of
+      sp[q] + C[q][j] and C[q][j] - sp[q] over the positions filled, so a
+      position costs k cells, not k(r - u); the level-1 norm fills its one
+      row, r = n, with it directly.
 
     Every candidate scanned is one cell: k(r - R + 1) per successor-level
     position, k over level 0, one per limit-level position and one per
@@ -222,33 +223,8 @@ class _WindowDP:
                 v = self.best(fundamental_term(level, idxs[u]).successor(), u, r)
                 W[u] = v if v > W[u + 1] else W[u + 1]
         elif level == ONE:
-            # C[u][k] is the largest of C[u+1][k], up[k-1] - sp[u] and
-            # dn[k-1] + sp[u], where up[j] and dn[j] are the maxima of
-            # sp[q] + C[q][j] and C[q][j] - sp[q] over the q > u filled, from
-            # q = r, where the interval runs to the end
-            sp = self.sp
-            if row.up is None:
-                row.up, row.dn = [sp[r]], [-sp[r]]
-            up, dn = row.up, row.dn
-            for u in positions:
-                K = min(per_min * idxs[u], r - u)
-                self._spend(K)
-                p = sp[u]
-                col = [0]
-                for a, b, f in zip(up, dn, _padded(cols[u + 1], K + 1)[1:]):
-                    a -= p
-                    b += p
-                    c = a if a >= b else b
-                    col.append(c if c > f else f)
-                if K == len(up):
-                    # K = r - u, one more than at u + 1, and each C[q] with
-                    # q > u ends before j = K: the new entry is the last one
-                    up.append(up[-1])
-                    dn.append(dn[-1])
-                up[:K + 1] = map(max, up, [p + f for f in col])
-                dn[:K + 1] = map(max, dn, [f - p for f in col])
-                cols[u] = col
-                W[u] = col[K] if col[K] > W[u + 1] else W[u + 1]
+            self._spend(sum(min(per_min * idxs[u], r - u) for u in positions))
+            _interval_rows(row, idxs, self.sp, r, per_min, positions)
         else:
             pred = level.predecessor()
             for u in positions:
@@ -277,7 +253,9 @@ class _WindowDP:
             step, t = next((b, t) for b, t in steps if self.best(b, t, r) == target)
             return self.witness(step, t, r)
         pred = level.predecessor()
-        sp, cols = self.sp, self._rows[(level, r)].cols
+        cols = self._rows[(level, r)].cols
+        if pred.is_zero:
+            return _interval_walk(cols, idxs, self.sp, s, r, target)
         u = next(t for t in range(s, r) if cols[t][-1] == target)
         k = len(cols[u]) - 1
         out = ()
@@ -286,20 +264,11 @@ class _WindowDP:
             if nxt[min(k, len(nxt) - 1)] == target:
                 u += 1
                 continue
-            if pred.is_zero:
-                # the interval from u ends before w; the same float
-                # expressions as the fill's running maxima
-                for w in range(u + 1, r + 1):
-                    rest = cols[w][min(k - 1, len(cols[w]) - 1)]
-                    if max((sp[w] + rest) - sp[u], (rest - sp[w]) + sp[u]) == target:
-                        break
-                out += (idxs[u],)
-            else:
-                for w, bw in self._blocks(pred, u, min(self.reach(pred, u), r), r):
-                    rest = cols[w][min(k - 1, len(cols[w]) - 1)]
-                    if bw + rest == target:
-                        break
-                out += self.witness(pred, u, w)
+            for w, bw in self._blocks(pred, u, min(self.reach(pred, u), r), r):
+                rest = cols[w][min(k - 1, len(cols[w]) - 1)]
+                if bw + rest == target:
+                    break
+            out += self.witness(pred, u, w)
             u, k, target = w, k - 1, rest
         return out
 
@@ -309,6 +278,66 @@ def _padded(column, n):
     j past the blocks that cover [w, r) is C[w][-1]."""
     head = column[:n]
     return head + head[-1:] * (n - len(head))
+
+
+def _interval_rows(row, idxs, sp, r, per_min, positions):
+    """Fill an interval-chain row over level 0, its values and C columns, at
+    the falling positions given.  C[u][k], the best chain of at most k
+    intervals inside [u, r), is the largest of C[u+1][k], up[k-1] - sp[u]
+    and dn[k-1] + sp[u], where up[j] and dn[j] are the maxima of
+    sp[q] + C[q][j] and C[q][j] - sp[q] over the q > u filled, from q = r,
+    where the interval runs to the end.  k stops at min(per_min * idx[u],
+    r - u); the pass over k reads up[k-1] and dn[k-1], then raises them by
+    C[u][k-1]."""
+    if row.up is None:
+        row.up, row.dn = [sp[r]], [-sp[r]]
+    W, cols, up, dn = row.best, row.cols, row.up, row.dn
+    for u in positions:
+        K = min(per_min * idxs[u], r - u)
+        if K == len(up):
+            # K = r - u, one more than at u + 1, and each C[q] with q > u
+            # ends before j = K: the new entry is the last one
+            up.append(up[-1])
+            dn.append(dn[-1])
+        p, nxt, col = sp[u], cols[u + 1], [0]
+        if len(nxt) == K:  # C[u+1] ends before k = K: its last entry repeats
+            nxt = nxt + nxt[-1:]
+        for j in range(K + 1):
+            a, b, f = up[j], dn[j], col[j]
+            if p + f > a:
+                up[j] = p + f
+            if f - p > b:
+                dn[j] = f - p
+            if j < K:
+                a, b, g = a - p, b + p, nxt[j + 1]
+                c = a if a >= b else b
+                col.append(c if c > g else g)
+        cols[u] = col
+        W[u] = col[K] if col[K] > W[u + 1] else W[u + 1]
+
+
+def _interval_walk(cols, idxs, sp, s, r, target):
+    """The minima of an interval chain inside [s, r) attaining target, read
+    back from the columns `_interval_rows` filled: the interval from u ends
+    before the first w where the fill's own float expressions give it."""
+    u = next(t for t in range(s, r) if cols[t][-1] == target)
+    k = len(cols[u]) - 1
+    out = []
+    while target:
+        nxt = cols[u + 1]
+        if nxt[min(k, len(nxt) - 1)] == target:
+            u += 1
+            continue
+        p = sp[u]
+        for w in range(u + 1, r + 1):
+            col = cols[w]
+            rest = col[k - 1] if k <= len(col) else col[-1]
+            a, b = (sp[w] + rest) - p, (rest - sp[w]) + p
+            if (a if a >= b else b) == target:
+                break
+        out.append(idxs[u])
+        u, k, target = w, k - 1, rest
+    return tuple(out)
 
 
 class _Row:
@@ -387,107 +416,47 @@ def naive_schreier_norm(x: SparseVector, alpha: Ordinal):
 # ---------------------------------------------------------------------------
 
 
-def _james_dp_level1(support, coeffs, max_cells, want_witness):
-    """Exact interval-system optimum when minima only need size <= 2*min.
+def _interval_norm(entries, alpha, max_cells, want_witness):
+    """Exact interval-system optimum, with the minima chain attaining it.
 
     Minima may be restricted to support points: sliding an interval's start
     right to its first support point keeps every block sum and only spreads
-    the minima set, which stays in the family.  With prefix sums ps, an
-    interval starting at position i and ending before position q scores
-    |ps[q] - ps[i]|.  F[t][p] is the best chain of at most t intervals
-    starting at positions >= p, and the best chain of at most t intervals
-    whose first starts at i is
-
-        S[t][i] = max over q > i of  |ps[q] - ps[i]| + F[t-1][q],
-
-    taken from running suffix maxima of +-ps[q] + F[t-1][q].  The first
-    minimum caps the chain length, so the optimum is max_i S[tcaps[i]][i].
-    The n * tmax cells come from `max_cells` (default `node_budget()`); a
-    refusal carries the relaxed family's greedy member, the first 2*min points.
+    the minima set, which stays in the family.  Level 1 fills one row,
+    r = n, directly; its cells are charged up front, and a refusal carries
+    the relaxed family's greedy member, the first 2*min points.
     """
+    support, coeffs = list(entries), list(entries.values())
     n = len(support)
-    ps = list(accumulate(coeffs, initial=0))
-    tcaps = [min(2 * support[i], n - i) for i in range(n)]
-    tmax = max(tcaps)
-    if max_cells is None:
-        max_cells = node_budget()
-    if n * tmax > max_cells:
-        raise BudgetExceeded(
-            f"interval-system DP needs {n * tmax} cells, over {max_cells}",
-            attained=sum(map(abs, coeffs[:2 * support[0]])))
-
-    capped = [0] * n
-    F = [0] * (n + 1)
-    rows = [F]
-    for t in range(1, tmax + 1):
-        nxt = [0] * (n + 1)
-        up, dn = ps[n], -ps[n]  # q = n: the interval runs to the end
-        for i in range(n - 1, -1, -1):
-            p = ps[i]
-            a = up - p
-            b = dn + p
-            s = a if a >= b else b
-            if tcaps[i] == t:
-                capped[i] = s
-            f = nxt[i + 1]
-            nxt[i] = s if s > f else f
-            f = F[i]
-            if p + f > up:
-                up = p + f
-            if f - p > dn:
-                dn = f - p
-        F = nxt
-        if want_witness:
-            rows.append(F)
-
-    best_start = max(range(n), key=capped.__getitem__)
-    best = capped[best_start]
+    if alpha != ONE:
+        dp = _WindowDP(list(zip(support, map(abs, coeffs))), alpha, max_cells,
+                       signed=coeffs)
+        best = dp.best(alpha, 0, n)
+        return (best, dp.witness(alpha, 0, n)) if want_witness else best
+    # through a _WindowDP, the many calls on a few points ran twice as slow
+    max_cells = node_budget() if max_cells is None else max_cells
+    if n * (n + 1) // 2 > max_cells:  # n - u cells at most at each u
+        cells = sum(map(min, [2 * i for i in support], range(n, 0, -1)))
+        if cells > max_cells:
+            raise BudgetExceeded(
+                f"interval-system DP needs {cells} cells, over {max_cells}",
+                attained=sum(map(abs, coeffs[:2 * support[0]])))
+    sp = list(accumulate(coeffs, initial=0))
+    row = _Row(n)
+    _interval_rows(row, support, sp, n, 2, range(n - 1, -1, -1))
+    best = row.best[0]
     if not want_witness:
         return best
-    # walk the rows back: find the end q of the interval starting at i that
-    # attains the target; the rest of the chain is worth F[t-1][q], which
-    # S[t-1][r] attains at the last r >= q where F[t-1] still equals it
-    minima = []
-    i, t, target = best_start, tcaps[best_start], best
-    while True:
-        minima.append(support[i])
-        F = rows[t - 1]
-        q = next(q for q in range(i + 1, n + 1)
-                 if max((ps[q] + F[q]) - ps[i], (F[q] - ps[q]) + ps[i]) == target)
-        target = F[q]
-        if not target:
-            break
-        i = q
-        while F[i + 1] == target:
-            i += 1
-        t -= 1
-    return best, tuple(minima)
-
-
-def _interval_best(support, coeffs, alpha, max_cells, want_witness):
-    """Exact interval-system optimum by the window DP, with the minima chain
-    that attains it."""
-    n = len(support)
-    dp = _WindowDP(list(zip(support, map(abs, coeffs))), alpha, max_cells,
-                   signed=coeffs)
-    best = dp.best(alpha, 0, n)
-    return (best, dp.witness(alpha, 0, n)) if want_witness else best
-
-
-def _interval_norm(entries, alpha, max_cells, want_witness):
-    support, coeffs = list(entries), list(entries.values())
-    if alpha == ONE:
-        return _james_dp_level1(support, coeffs, max_cells, want_witness)
-    return _interval_best(support, coeffs, alpha, max_cells, want_witness)
+    return best, _interval_walk(row.cols, support, sp, 0, n, best)
 
 
 def jamesification_norm(x: SparseVector, alpha: Ordinal = ONE, max_nodes=None,
                         want_witness=False):
     """Interval-system norm at a successor level; exact for exact payloads.
 
-    `max_nodes` bounds the DP cells (default `node_budget()`): the n * T
-    cells of the level-1 interval DP (n points, chains of at most T
-    intervals), else the window DP's.  Exhausted budgets raise.
+    `max_nodes` bounds the DP cells (default `node_budget()`): at level 1,
+    the sum over support positions u of min(2 * idx_u, n - u), the chain
+    lengths its one row scans on n points, else the window DP's.
+    Exhausted budgets raise.
     """
     if not alpha.is_successor:
         raise FamilyError(f"interval-system norm needs a successor level, got {alpha}")

@@ -365,8 +365,22 @@ class SearchSpec:
     template: str | None = None
     extras: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        _check_counts(self, samples=0, support_cap=1, index_range=1,
+                      set_size_cap=0, m_cap=0)
+
     def to_dict(self) -> dict:
         return {**vars(self), "extras": dict(sorted(self.extras.items()))}
+
+
+def _check_counts(spec, **least):
+    """Refuse a count under its least value, naming its field: the samplers
+    draw from 1..support_cap and the like, and a negative count would run
+    silently to a trivial result."""
+    for name, floor in least.items():
+        if getattr(spec, name) < floor:
+            raise GreedyError(f"{name} must be at least {floor}, got "
+                              f"{getattr(spec, name)}")
 
 
 @dataclass
@@ -565,8 +579,6 @@ def estimate_constant(name: str, oracle, family, spec: SearchSpec) -> ConstantEs
     """
     if name not in CONSTANT_NAMES:
         raise GreedyError(f"unknown constant {name!r}; pick from {CONSTANT_NAMES}")
-    if spec.samples < 0:
-        raise GreedyError(f"samples must be at least 0, got {spec.samples}")
     templated = ((f"template:{spec.template}", cfg)
                  for cfg in _template_configs(name, oracle, family, spec))
     sampled = (("sampled", cfg) for cfg in _sampled_configs(
@@ -644,6 +656,10 @@ class TheoremSuiteSpec:
     sign_set_size: int = 8
     grid_dim: int = 4
     m_cap: int = 3
+
+    def __post_init__(self):
+        _check_counts(self, samples=0, sign_sets=0, sign_set_size=1,
+                      grid_dim=0, m_cap=0)
 
 
 def _grid_equality_check(oracle, family, dim: int):

@@ -67,6 +67,23 @@ def _check_ordinal(raw):
     return str(raw)
 
 
+def _check_type(experiment, key, val):
+    """Refuse a parameter given as a value `parse_config` could not have
+    read: an integer default takes an int that is not a bool, a text
+    default a string `_check_ordinal` accepts."""
+    name = f"parameter {key!r} of {experiment}"
+    if isinstance(EXPERIMENTS[experiment].defaults[key], int):
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ConfigError(f"{name} must be an integer, got {val!r}")
+    elif not isinstance(val, str):
+        raise ConfigError(f"{name} must be an ordinal's text, got {val!r}")
+    else:
+        try:
+            _check_ordinal(val)
+        except OrdinalError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+
+
 def parse_config(path) -> ExperimentSpec:
     """Parse the flat `key = value` format; unknown keys and bad values are
     rejected with their line number."""
@@ -404,6 +421,8 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     if unknown:
         raise ConfigError(f"unknown parameters {sorted(unknown)} for "
                           f"{spec.experiment}")
+    for key in sorted(spec.params):
+        _check_type(spec.experiment, key, spec.params[key])
     params = dict(definition.defaults)
     params.update(spec.params)
     # every count first, so that a negative one keeps the count rule's message

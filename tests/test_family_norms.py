@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from greedylab import family_norms
 from greedylab.config import BudgetExceeded
-from greedylab.family_norms import (_interval_best, jamesification_norm,
-                                    naive_james_norm, naive_schreier_norm,
-                                    schreier_alpha_norm, weighted_schreier_norm)
+from greedylab.family_norms import (jamesification_norm, naive_james_norm,
+                                    naive_schreier_norm, schreier_alpha_norm,
+                                    weighted_schreier_norm)
 from greedylab.ordinals import OMEGA, ONE, ZERO, parse_ordinal
 from greedylab.rah import make_weight_family
 from greedylab.schreier import f_alpha_member, schreier_member
@@ -319,8 +319,12 @@ def test_james_level_one_matches_search_exact(x):
     support = list(x.support)
     coeffs = [x.get(i) for i in support]
     val, minima = jamesification_norm(x, want_witness=True)
-    found, chain = _interval_best(support, coeffs, ONE, None, True)
-    # both run the same recurrence; the first-written window DP does not
+    # both fill their rows with `_interval_rows`; the first-written window
+    # DP does not
+    dp = family_norms._WindowDP(list(zip(support, map(abs, coeffs))), ONE,
+                                None, signed=coeffs)
+    found = dp.best(ONE, 0, len(support))
+    chain = dp.witness(ONE, 0, len(support))
     ref = WindowDPReference(list(zip(support, map(abs, coeffs))), ONE, None,
                             signed=coeffs)
     assert val == found == ref.best(ONE, 0, len(support))
@@ -370,8 +374,9 @@ def test_james_budget_error():
     # the greedy-maximal relaxed member from 2 takes the four level-1 blocks
     # {2, 3}, {4..7}, {8..15}, {16..31}
     assert info.value.attained == sum(range(2, 32))
-    # level 1 spends n*T cells from max_nodes too, and refuses with the sum
-    # of |x| over the first 2*min support points
+    # level 1 spends the chain lengths it scans, min(2*idx_u, n - u) at
+    # each position u, from max_nodes too, and refuses with the sum of |x|
+    # over the first 2*min support points
     for hi in (41, 200):
         x = SparseVector({i: (-1) ** i * i for i in range(2, hi)})
         with pytest.raises(BudgetExceeded) as info:
@@ -379,11 +384,11 @@ def test_james_budget_error():
         assert info.value.attained == 2 + 3 + 4 + 5
         assert type(info.value.attained) is int
         assert "attains 14)" in str(info.value)
-    # n = 6 points from 3: chains hold at most T = min(2*3, 6) = 6 intervals
+    # n = 6 points from 3: min(2*idx_u, 6 - u) = 6 - u, 21 cells in all
     x = SparseVector({i: (-1) ** i * i for i in range(3, 9)})
-    assert jamesification_norm(x, ONE, max_nodes=36) == naive_james_norm(x)
+    assert jamesification_norm(x, ONE, max_nodes=21) == naive_james_norm(x)
     with pytest.raises(BudgetExceeded) as info:
-        jamesification_norm(x, ONE, max_nodes=35)
+        jamesification_norm(x, ONE, max_nodes=20)
     assert info.value.attained == sum(range(3, 9))
 
 
@@ -514,7 +519,7 @@ def test_window_dp_witness_at_a_limit_level(level):
 # ---------------------------------------------------------------------------
 
 DP_LEVELS = ([("sup", parse_ordinal(t)) for t in ("2", "3", "w+1", "w*2+1")]
-             + [("interval", a) for a in JAMES_LEVELS])
+             + [("interval", a) for a in (ONE,) + JAMES_LEVELS])
 _DP_PAYLOADS = {
     "int": st.integers(-9, 9).filter(bool),
     "frac": st.fractions(-8, 8, max_denominator=9).filter(bool),
@@ -578,7 +583,7 @@ def test_window_dp_rows_resume_where_they_stopped(case, level):
     support, coeffs, kind = case
     norm, alpha = level
     n = len(support)
-    for lvl in (alpha, ONE):
+    for lvl in dict.fromkeys((alpha, ONE)):  # once when alpha is 1
         dp = _window_dp(family_norms._WindowDP, support, coeffs, norm, alpha)
         for s in range(n - 1, -1, -1):
             fresh = _window_dp(family_norms._WindowDP, support, coeffs, norm, alpha)
@@ -591,6 +596,23 @@ def test_window_dp_rows_resume_where_they_stopped(case, level):
         if lvl == alpha:
             _assert_dp_witness(support, coeffs, kind, norm, alpha, value,
                                dp.witness(lvl, 0, n))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_dp_inputs(15, 40))
+def test_level_one_interval_norm_matches_the_first_written_recurrence(case):
+    # the level-1 norm fills one row directly, without a window DP
+    support, coeffs, kind = case
+    n = len(support)
+    x = SparseVector(dict(zip(support, coeffs)))
+    cells = sum(min(2 * i, n - u) for u, i in enumerate(support))
+    value, wit = jamesification_norm(x, ONE, max_nodes=cells, want_witness=True)
+    ref = _window_dp(WindowDPReference, support, coeffs, "interval", ONE, 10**7)
+    assert _agree(kind, value, ref.best(ONE, 0, n))
+    _assert_dp_witness(support, coeffs, kind, "interval", ONE, value, wit)
+    with pytest.raises(BudgetExceeded) as info:
+        jamesification_norm(x, ONE, max_nodes=cells - 1)
+    assert f"needs {cells} cells, over {cells - 1}" in str(info.value)
 
 
 def test_window_dp_cells_are_the_candidates_scanned():

@@ -94,6 +94,35 @@ def test_estimate_refuses_negative_samples():
     assert (none.lower_bound, none.witness) == (1.0, {"kind": "trivial"})
 
 
+def test_search_specs_refuse_counts_their_samplers_cannot_use():
+    # support_cap = 0, a negative index_range, grid_dim = -1 and
+    # sign_set_size = 0 raised a bare ValueError from random; a negative
+    # samples or m_cap ran to a trivial result
+    for make, name, value, floor in (
+            (SearchSpec, "support_cap", 0, 1),
+            (SearchSpec, "index_range", -4, 1),
+            (SearchSpec, "set_size_cap", -1, 0),
+            (SearchSpec, "m_cap", -1, 0),
+            (TheoremSuiteSpec, "samples", -2, 0),
+            (TheoremSuiteSpec, "sign_sets", -1, 0),
+            (TheoremSuiteSpec, "sign_set_size", 0, 1),
+            (TheoremSuiteSpec, "grid_dim", -1, 0),
+            (TheoremSuiteSpec, "m_cap", -1, 0)):
+        with pytest.raises(GreedyError,
+                           match=f"^{name} must be at least {floor}, got {value}$"):
+            make(**{name: value})
+    # each least value stays valid
+    parity = make_space("parity")
+    least = SearchSpec(samples=20, support_cap=1, index_range=1,
+                       set_size_cap=0, m_cap=0)
+    for name in ("Cg", "Ca", "Cd"):
+        assert estimate_constant(name, parity, S1, least).lower_bound == 1.0
+    report = theorem_suite(parity, S1, TheoremSuiteSpec(
+        samples=0, sign_sets=0, sign_set_size=1, grid_dim=0, m_cap=0))
+    assert [c["status"] for c in report["checks"]] == ["RECORDED", "RECORDED",
+                                                       "PASS"]
+
+
 def test_sigma_examples():
     parity = make_space("parity")
     x = SparseVector({1: 1.0, 2: 1.0, 4: 1.0})

@@ -192,6 +192,29 @@ def test_negative_integer_parameters_rejected(tmp_path):
     assert summary["status"] == "PASS"
 
 
+def test_parameters_of_the_wrong_type_are_refused(tmp_path):
+    # raised TypeError or OrdinalError from inside the runner, after the
+    # output directory existed; samples = True ran as 1
+    for spec, message in (
+            (ExperimentSpec("repro-l2sum", {"samples": "5"}),
+             "parameter 'samples' of repro-l2sum must be an integer, got '5'"),
+            (ExperimentSpec("repro-l2sum", {"samples": 2.5}),
+             "parameter 'samples' of repro-l2sum must be an integer, got 2.5"),
+            (ExperimentSpec("repro-l2sum", {"samples": True}),
+             "parameter 'samples' of repro-l2sum must be an integer, got True"),
+            (ExperimentSpec("repro-m31", {"alpha": 3}),
+             "parameter 'alpha' of repro-m31 must be an ordinal's text, got 3"),
+            (ExperimentSpec("repro-m31", {"alpha": "w^"}),
+             "parameter 'alpha' of repro-m31: bad ordinal token 'w^' in 'w^'")):
+        with pytest.raises(ConfigError) as info:
+            run_experiment(spec, tmp_path / "out")
+        assert str(info.value) == message
+    assert not (tmp_path / "out").exists()
+    # the types parse_config reads stay valid
+    spec = ExperimentSpec("repro-m31", {"alpha": "w^2 + 1", "samples": 3})
+    assert run_experiment(spec, tmp_path / "ok")["status"] == "PASS"
+
+
 def test_parameters_a_runner_cannot_run_are_refused(tmp_path):
     for spec, message in (
             (ExperimentSpec("repro-kt-00", {"n_min": 10, "n_max": 5}),
