@@ -6,8 +6,7 @@ from .family_norms import (jamesification_norm, schreier_alpha_norm,
 from .greedy import (ConstantEstimate, GreedyResult, SearchSpec,
                      almost_greedy_error, best_coefficients, estimate_constant,
                      greedy_set, property_A_check, sigma_m, theorem_suite)
-from .norms import (NormOracle, block_sum_norm, kt_block_norm, kt_block_of,
-                    kt_global_index, mixed_parity_norm)
+from .norms import NormOracle, block_sum_norm, kt_block_norm, mixed_parity_norm
 from .ordinals import (OMEGA, ONE, ZERO, Ordinal, OrdinalError,
                        fundamental_term, parse_ordinal)
 from .rah import (GeometricBlock, IndexStream, ShiftedInt, WeightFamily,

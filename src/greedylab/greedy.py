@@ -14,12 +14,15 @@ off-support index cannot lower a projection error).  One loop,
 a support unsolved when the largest modulus it leaves, a lower bound on its
 error since every norm here dominates the sup norm, cannot beat the best so
 far, and a per-sample memo solves each support once for all the orders m of
-one sampled vector.  Each constant's defining ratio is written once, in
-`_ratio`: the estimators maximize it into certified lower bounds, and their
-witnesses replay through it; `property_A_check` returns the one
-sign-splitting ratio.  The theorem suite grades the space's own certified
-constants (`oracle.certified`), and its grid check reads the same
-definitions over a table of the grid's norms.
+one sampled vector.  Kelley's loop stops once a cut's exact lower bound
+reaches the best error so far (branch and bound); the memo keeps that bound
+and solves the support again at an order whose cutoff it does not reach.
+Outputs are those of the unpruned search.  Each constant's defining ratio is
+written once, in `_ratio`: the estimators maximize it into certified lower
+bounds, and their witnesses replay through it; `property_A_check` returns the
+one sign-splitting ratio.  The theorem suite grades the space's own certified
+constants (`oracle.certified`), and its grid check reads the same definitions
+over a table of the grid's norms.
 """
 
 from __future__ import annotations
@@ -169,15 +172,29 @@ def _one_cut_bound(cut, width):
     return max(0, b - width * sum(v for v in g if v > 0)), e
 
 
+def _as_value(best, num, den):
+    """num/den, correctly rounded to a float if best is one, else exact."""
+    return num / den if isinstance(best, float) else Fraction(num, den)
+
+
 def _gap_closed(best, num, den):
     """Whether best - num/den <= GAP_TOL * max(1, best): in floats, after
     rounding the bound to a float, when best is a float, and exactly when it
     is exact."""
-    bound = num / den if isinstance(best, float) else Fraction(num, den)
-    return best - bound <= GAP_TOL * max(1, best)
+    return best - _as_value(best, num, den) <= GAP_TOL * max(1, best)
 
 
-def best_coefficients(x: SparseVector, support, oracle):
+def _reaches(num, den, cutoff):
+    """Whether num/den >= cutoff * (1 + GAP_TOL), exactly; never for an
+    infinite cutoff.  The margin covers the float functionals of `kt` and
+    `ktsum`, whose dual norms can exceed 1 by a few ulps."""
+    if cutoff == math.inf:
+        return False
+    (p, q), (a, b) = cutoff.as_integer_ratio(), GAP_TOL.as_integer_ratio()
+    return num * q * b >= p * (a + b) * den
+
+
+def best_coefficients(x: SparseVector, support, oracle, cutoff=None):
     """Exact minimum over c of ||x - sum_{n in A} c_n e_n||.
 
     With a suppression constant of 1 it is ||P_{A^c} x||, at c = x_A.  Else
@@ -194,6 +211,12 @@ def best_coefficients(x: SparseVector, support, oracle):
     at the coefficients, floats for float payloads (one correctly rounded
     division each) and exact otherwise.  A residual norm past the float range
     raises NormDomainError.
+
+    With a float cutoff, the loop stops once a cut's bound (the one-cut
+    closed form or an LP optimum) reaches cutoff * (1 + GAP_TOL)
+    (`_reaches`): no coefficients can then beat the cutoff, and it returns
+    (bound, None, True), the bound at least the cutoff and a float when the
+    value would be one.  Otherwise the result is that without a cutoff.
     """
     support = tuple(sorted(support))
     if not support:
@@ -225,14 +248,17 @@ def best_coefficients(x: SparseVector, support, oracle):
         if cut in cuts:
             break
         cuts.append(cut)
-        if len(cuts) == 1:
-            num, den = _one_cut_bound(cut, 2 * r)
-            if _gap_closed(best[0], num, den * D):
-                break
-        t, d, det = _cut_lp(cuts, 2 * r)
-        den = det * D
+        # one cut's LP optimum has a closed form; its LP is solved only when
+        # the loop goes on
+        lp = _cut_lp(cuts, 2 * r) if len(cuts) > 1 else None
+        t, den = _one_cut_bound(cut, 2 * r) if lp is None else (lp[0], lp[2])
+        den *= D
         if _gap_closed(best[0], t, den):
             break
+        if cutoff is not None and _reaches(t, den, cutoff):
+            return _as_value(best[0], t, den), None, True
+        t, d, det = lp or _cut_lp(cuts, 2 * r)
+        den = det * D
         coeffs = [Fraction(lo * det + v, den) if exact else (lo * det + v) / den
                   for lo, v in zip(low, d)]
     else:
@@ -266,8 +292,8 @@ class _SampleMemo:
     """One sampled vector's work, shared by its configurations (one per order
     m) and keyed on the vector's identity: ||x||, and in `errors` each
     support's error result keyed on (A, free), as best_coefficients returns
-    it when the coefficients on A are free, else as (||x.drop(A)||,).  Holds
-    one vector at a time, for one oracle."""
+    it when the coefficients on A are free (a pruned bound included), else as
+    (||x.drop(A)||,).  Holds one vector at a time, for one oracle."""
 
     def __init__(self, oracle):
         self.oracle = oracle
@@ -313,6 +339,11 @@ def _best_support(x, m, oracle, family, memo, free):
     support is solved only if the sup-norm bound max_{n not in A} |x_n| lets
     it beat the best so far, and at most once per `memo` (a _SampleMemo of
     this oracle), which the orders m of one sampled x share.
+
+    Each solve gets the current cutoff and may return, instead, a bound
+    that cannot win (best_coefficients).  Each order restarts its cutoff at
+    ||x||, so the memo reuses such a bound only while it still reaches the
+    current cutoff (`_reaches`), and solves the support again otherwise.
     """
     _enumeration_guard(x, m)
     memo = (memo or _SampleMemo(oracle)).at(x)
@@ -326,9 +357,10 @@ def _best_support(x, m, oracle, family, memo, free):
         if memo.off_max(A) >= cutoff:
             continue
         error = memo.errors.get((A, free))
-        if error is None:
-            error = memo.errors[A, free] = (best_coefficients(x, A, oracle) if free
-                                            else (oracle.norm(x.drop(A)),))
+        if error is None or (free and error[1] is None
+                             and not _reaches(*error[0].as_integer_ratio(), cutoff)):
+            error = memo.errors[A, free] = (best_coefficients(x, A, oracle, cutoff)
+                                            if free else (oracle.norm(x.drop(A)),))
         if error[0] < cutoff:
             best = (A, error)
             cutoff = _cutoff(error[0])

@@ -134,21 +134,6 @@ def kt_block_norm(x: SparseVector, N: int, want_witness=False):
     return _window_scan(x.entries, N, "c0", want_witness)
 
 
-def kt_global_index(N: int, local: int) -> int:
-    """Global index of local coordinate `local` inside block N."""
-    if not (1 <= local <= 2 * N - 1):
-        raise NormDomainError(f"local index {local} outside block {N}")
-    return (N - 1) * (N - 1) + local
-
-
-def kt_block_of(g: int):
-    """(block, local) of a global index; blocks tile ((N-1)^2, N^2]."""
-    if g < 1:
-        raise NormDomainError(f"bad global index {g}")
-    N = math.isqrt(g - 1) + 1
-    return N, g - (N - 1) * (N - 1)
-
-
 def block_sum_norm(x: SparseVector, outer: str, want_witness=False):
     """c0 or l2 aggregate of per-block window norms over the global indices.
 

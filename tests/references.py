@@ -1,6 +1,7 @@
 """Reference implementations the tests compare the library's fast paths
 against: slow, simple, and independent of the code under test."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -8,6 +9,7 @@ from itertools import combinations, product
 from greedylab.config import BudgetExceeded
 from greedylab.family_norms import _WindowDP
 from greedylab.greedy import GreedyError
+from greedylab.norms import NormDomainError
 from greedylab.ordinals import ONE, Ordinal, fundamental_term
 from greedylab.schreier import check_index_set, family_members_within
 from greedylab.vectors import SparseVector
@@ -47,6 +49,22 @@ def grid_best_coefficients(x: SparseVector, support, oracle, points: int = 41,
         centers = list(best_pt)
         span = 2.0 * (2.0 * span / (points - 1))
     return best_val, dict(zip(support, best_pt))
+
+
+def kt_global_index(N: int, local: int) -> int:
+    """Global index of local coordinate `local` inside window block N of the
+    `ktsum` spaces."""
+    if not (1 <= local <= 2 * N - 1):
+        raise NormDomainError(f"local index {local} outside block {N}")
+    return (N - 1) * (N - 1) + local
+
+
+def kt_block_of(g: int):
+    """(block, local) of a global index; blocks tile ((N-1)^2, N^2]."""
+    if g < 1:
+        raise NormDomainError(f"bad global index {g}")
+    N = math.isqrt(g - 1) + 1
+    return N, g - (N - 1) * (N - 1)
 
 
 def schreier_member_backtracking(E, alpha: Ordinal, _cache=None) -> bool:

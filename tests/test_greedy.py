@@ -501,6 +501,78 @@ def _plain_sigma(x, m, oracle, family):
     return best
 
 
+# most supports close the gap at the first cut, and only a search that runs
+# on can stop at a cutoff; these draws make more of them run on: positive
+# entries in the window of kt:N=8, entries of both signs anywhere on james:a=1
+CUTOFF_DRAWS = [("kt:N=8", 8, 15, 1), ("james:a=1", 1, 16, -8)]
+
+
+@pytest.mark.parametrize("descriptor, first, top, least", CUTOFF_DRAWS)
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_best_coefficients_at_a_cutoff(descriptor, first, top, least, data):
+    # with a cutoff the search returns what it returns without one, or stops
+    # at a lower bound in [cutoff, uncut value]; a cutoff at or above the
+    # uncut value never stops it
+    oracle = make_space(descriptor)
+    quarters = st.integers(least, 8).filter(bool).map(lambda k: Fraction(k, 4))
+    x = data.draw(st.dictionaries(st.integers(first, top), quarters, min_size=3,
+                                  max_size=6))
+    x = SparseVector(x if data.draw(st.booleans()) else
+                     {n: float(v) for n, v in x.items()})
+    extra = data.draw(st.sets(st.integers(1, top), max_size=2))
+    scales = data.draw(st.lists(st.floats(0, 1.5), min_size=2, max_size=2))
+    for A in family_members_within(S1, set(x.support) | extra, 3)[1:]:
+        uncut = best_coefficients(x, A, oracle)
+        for cutoff in [0.0, *(float(uncut[0]) * k for k in scales)]:
+            got = best_coefficients(x, A, oracle, cutoff)
+            if got != uncut:
+                bound, coeffs, converged = got
+                assert coeffs is None and converged is True
+                assert cutoff <= bound <= uncut[0] and cutoff < uncut[0]
+                assert type(bound) is type(uncut[0])
+
+
+def test_a_support_pruned_at_one_order_is_solved_again_where_it_wins():
+    # at m = 2 the support (10,) stops at its bound, as (1, 9) is better; at
+    # m = 1, asked later of the same memo, the cutoff is higher when (10,)
+    # comes up, so the memo solves it again, and it wins
+    james = make_space("james:a=1")
+    x = SparseVector({1: 0.75, 9: -1.25, 10: -1.0, 13: -1.0})
+    memo = _SampleMemo(james)
+    for m, pruned in ((2, True), (1, False)):
+        got = sigma_m(x, m, james, S1, memo)
+        assert (got.value, got.support, got.coefficients, got.converged) == (
+            _plain_sigma(x, m, james, S1))
+        assert (memo.errors[(10,), True][1] is None) is pruned
+    assert got.support == (10,)
+
+
+def test_pruning_cuts_the_work_on_a_cutting_plane_sample():
+    # the estimate benchmark's costliest sample (james:a=1, sample seed 6):
+    # 99 norm evaluations and 73 LPs for m = 1..3 without the cutoff
+    james = make_space("james:a=1")
+    seen, lps = [], []
+
+    def evaluate(z, want_functional=False):
+        seen.append(z)
+        return james.evaluate(z, want_functional)
+
+    def counted_lp(cuts, width):
+        lps.append(len(cuts))
+        return _cut_lp(cuts, width)
+
+    counted = dataclasses.replace(james, evaluate=evaluate)
+    x = SparseVector({1: 1.0, 5: 1.0, 11: 1.0, 34: -1.0, 63: 1.0})
+    memo = _SampleMemo(counted)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(greedy, "_cut_lp", counted_lp)
+        ratios = [_ratio("Cg", counted, S1, {"vector": x, "m": m}, memo)
+                  for m in (1, 2, 3)]
+    assert ratios == [4 / 3, 1.5, 1.0]
+    assert len(seen) <= 75 and len(lps) <= 59
+
+
 def _plain_almost_greedy(x, m, oracle, family):
     best = (oracle.norm(x), ())
     for A in family_members_within(family, x.support, m)[1:]:
@@ -736,6 +808,21 @@ def test_property_check_validation_and_forms():
                          signs={1: 1.0}, b={2: 1.0})
     with pytest.raises(GreedyError):
         property_A_check(parity, S1, bad)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"x": SparseVector({9: 1.5})}, "sup-norm at most 1"),
+    ({"A": (1, 3), "signs": {1: 1.0, 3: 1.0}}, "belong to the family"),
+    ({"B": (2,), "b": {2: 1.0}}, r"\|A\| <= \|B\|"),
+    ({"B": (3, 4, 6), "b": {3: 1.0, 4: 1.0, 6: 1.0}}, "pairwise disjoint"),
+    ({"x": SparseVector({2: 0.5})}, "disjoint from the support"),
+    ({"b": {2: 1.0, 4: -0.5, 6: 2.0}}, "modulus >= 1"),
+])
+def test_property_check_refuses_each_bad_config(change, message):
+    cfg = PropertyConfig(x=SparseVector({9: 0.5}), A=(3, 5), B=(2, 4, 6),
+                         signs={3: 1.0, 5: -1.0}, b={2: 1.0, 4: -1.5, 6: 2.0})
+    with pytest.raises(GreedyError, match=message):
+        property_A_check(make_space("parity"), S1, dataclasses.replace(cfg, **change))
 
 
 def test_property_forms_agree_on_pools():

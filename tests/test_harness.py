@@ -1,11 +1,19 @@
+import dataclasses
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
+from greedylab import harness
+from greedylab.family_norms import jamesification_norm
 from greedylab.harness import (ConfigError, ExperimentSpec, _csv_cell,
                                list_experiments, parse_config, run_experiment)
+from greedylab.ordinals import Ordinal
+from greedylab.rah import IndexStream, rah_sequence
+from greedylab.spaces import make_space
+from greedylab.vectors import SparseVector
 
 
 def test_parse_minimal_config(tmp_path):
@@ -87,6 +95,55 @@ def test_run_james_small(tmp_path):
     assert summary["status"] == "PASS"
     data = (tmp_path / "repro-james.csv").read_text().splitlines()
     assert data[0] == "block_min,positive_norm,alternating_norm,ratio"
+
+
+def _stored_summary(out_dir, experiment):
+    return json.loads((out_dir / f"{experiment}.summary.json").read_text())
+
+
+def test_run_james_failures_carry_their_witnesses(tmp_path, monkeypatch):
+    # the reflected norm 12 - ||x|| grows where a greedy removal shrinks the
+    # true norm, and puts the first alternating average above 12 / start
+    monkeypatch.setattr(harness, "jamesification_norm",
+                        lambda x: 12 - jamesification_norm(x))
+    spec = ExperimentSpec("repro-james", {"samples": 5, "witness_count": 2}, seed=2)
+    summary = run_experiment(spec, tmp_path)
+    assert summary["status"] == "FAIL"
+    assert _stored_summary(tmp_path, "repro-james")["status"] == "FAIL"
+    removal, shrink = summary["checks"]
+    assert (removal["name"], removal["status"]) == ("greedy-removal-never-grows", "FAIL")
+    left = SparseVector.parse(removal["witness"]["vector"])
+    assert removal["witness"]["removed"] not in left.entries
+    assert removal["witness"]["after"] == 12 - jamesification_norm(left)
+    assert removal["witness"]["after"] > removal["witness"]["before"] + 1e-12
+    assert (shrink["name"], shrink["status"]) == ("alternating-average-shrinks", "FAIL")
+    average = rah_sequence(Ordinal.from_int(2), IndexStream.naturals(3), 1)[0]
+    alternating = SparseVector({i: (-1) ** i * a for i, a in average.entries.items()})
+    assert shrink["witness"] == {"start": 3, "alt_norm":
+                                 float(12 - jamesification_norm(alternating))}
+
+
+def test_run_l2sum_failure_carries_its_witness(tmp_path, monkeypatch):
+    # a tripled ktsum:l2 norm is at least 3 sqrt|A|, over the upper bound
+    # 2 sqrt|A|, so the first case fails
+    def tripled(descriptor):
+        space = make_space(descriptor)
+        return dataclasses.replace(
+            space, evaluate=lambda x, want=False: 3 * space.evaluate(x))
+
+    monkeypatch.setattr(harness, "make_space", tripled)
+    spec = ExperimentSpec("repro-l2sum", {"samples": 4, "size_cap": 10}, seed=5)
+    summary = run_experiment(spec, tmp_path)
+    assert summary["status"] == "FAIL"
+    assert _stored_summary(tmp_path, "repro-l2sum")["status"] == "FAIL"
+    [check] = summary["checks"]
+    assert (check["name"], check["status"]) == ("two-sided-democracy", "FAIL")
+    A = check["witness"]["A"]
+    assert check["witness"]["case"] == 0
+    norm = make_space("ktsum:l2").norm(SparseVector.indicator(A, 1.0))
+    assert check["witness"]["norm"] == 3 * norm > 2 * math.sqrt(len(A))
+    rows = (tmp_path / "repro-l2sum.csv").read_text().splitlines()
+    assert [row.rsplit(",", 1)[1] for row in rows[1:]] == ["0"] * 4
 
 
 def test_run_walpha_two_blocks(tmp_path):
