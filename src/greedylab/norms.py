@@ -31,6 +31,11 @@ class NormDomainError(ValueError):
     pass
 
 
+# the refusals of the float evaluators past the float range
+_PAST_FLOATS = "a coefficient overflows floats"
+_NO_FUNCTIONAL = "the norm overflows floats and has no norming functional"
+
+
 def _euclidean(floats):
     """sqrt of the exactly summed squares, else math.hypot (see above)."""
     try:
@@ -48,62 +53,70 @@ def _window_scan(entries, N, outer, want_witness):
 
     With N >= 1 the entries form the one window block N based at 0 and must
     lie in [1..2N-1]; with N = 0, block M holds the global indices
-    ((M-1)^2, M^2].  Per point the pass keeps the float and the running
+    ((M-1)^2, M^2].  An index past the window is refused before any value
+    is converted, so that error wins over a value past the float range,
+    refused next by the one pass that converts the payload to floats.  The
+    scan then walks the indices beside those floats, keeping the running
     weighted partial sum from the block's window start w0 + 1; a block is
     closed when the next one opens or the entries end.  A one-point block's
     norm is the modulus of its float: sqrt(fl(a*a)) == |a| in binary64,
-    math.hypot gives |a| too, and |fl(a / sqrt(k))| <= |a|.
+    math.hypot gives |a| too, and |fl(a / sqrt(k))| <= |a|.  A norm past the
+    float range has no norming functional: asking for one is refused.
     """
-    floats = []
-    append = floats.append
+    end = 2 * N - 1 if N else 0
+    if N and entries and next(reversed(entries)) > end:
+        g = next(g for g in entries if g > end)
+        raise NormDomainError(f"index {g} outside the window space [1..{end}]")
+    try:
+        floats = list(map(float, entries.values()))
+    except OverflowError:
+        raise NormDomainError(_PAST_FLOATS) from None
+    sqrt = math.sqrt
     norms = []
     closed = []  # witness records: (w0, lo, hi, l2, best, peak, top) per block
     w0 = N - 1
-    end = 2 * N - 1 if N else 0
     lo = top = 0
     best = running = peak = 0.0
-    for g, a in entries.items():
-        if g > end:
-            if N:
-                raise NormDomainError(f"index {g} outside the window space [1..{end}]")
+    for pos, g in enumerate(entries):
+        if g > end:  # only with N = 0: a new block opens at g
             if end:
-                hi = len(floats)
-                l2 = (abs(floats[lo]) if hi - lo == 1
-                      else _euclidean(floats[lo:] if lo else floats))
+                l2 = (abs(floats[lo]) if pos - lo == 1
+                      else _euclidean(floats[lo:pos]))
                 norms.append(l2 if l2 >= best else best)
                 if want_witness:
-                    closed.append((w0, lo, hi, l2, best, peak, top))
+                    closed.append((w0, lo, pos, l2, best, peak, top))
             M = math.isqrt(g - 1) + 1
             end = M * M
             w0 = end - M
-            lo = len(floats)
+            lo = pos
             best = running = 0.0
-        fa = float(a)
-        append(fa)
         if g > w0:
-            running += fa / math.sqrt(g - w0)
+            running += floats[pos] / sqrt(g - w0)
             mag = abs(running)
             if mag > best:
                 best = mag
                 peak, top = running, g
+    pos = len(floats)
     # the last block closes here: the same steps as above, written out again
     # so that a lone window block returns without the aggregate (and, as
     # there, without copying the floats when the block holds all of them)
     if end:
-        hi = len(floats)
-        l2 = (abs(floats[lo]) if hi - lo == 1
+        l2 = (abs(floats[lo]) if pos - lo == 1
               else _euclidean(floats[lo:] if lo else floats))
         if N and not want_witness:
             return l2 if l2 >= best else best
         norms.append(l2 if l2 >= best else best)
         if want_witness:
-            closed.append((w0, lo, hi, l2, best, peak, top))
+            closed.append((w0, lo, pos, l2, best, peak, top))
     if outer == "c0":
         value = max(norms) if norms else 0.0
     else:
         value = _euclidean(norms)
     if not want_witness:
         return value
+    if value == math.inf:
+        # (an infinite block's l2 weight v / value would be nan)
+        raise NormDomainError(_NO_FUNCTIONAL)
     chosen = norms.index(value) if outer == "c0" and norms else None
     keys = list(entries)
     f = {}
@@ -115,7 +128,7 @@ def _window_scan(entries, N, outer, want_witness):
             for j in range(lo, hi):
                 # 1/l2 overflows below about 5.6e-309: divide there instead
                 e = c * floats[j] if c != math.inf else floats[j] / l2
-                if e:  # a zero drops out before w scales it, as w may be nan
+                if e:  # a zero drops out before w scales it
                     f[keys[j]] = w * e
         else:
             for g in range(w0 + 1, top + 1):
@@ -149,22 +162,30 @@ def mixed_parity_norm(x: SparseVector, want_witness=False):
     """l1 over even indices plus l2 over odd indices.
 
     `want_witness` adds a norming functional: the signs of x on the even
-    indices plus its odd part over that part's Euclidean norm.
+    indices plus its odd part over that part's Euclidean norm.  A coefficient
+    past the float range, and a functional of a norm past it, are refused
+    with NormDomainError.
     """
     even, odd = parts = ([], [])
-    for i, v in x.entries.items():
-        parts[i % 2].append(float(v))
+    try:
+        for i, v in x.entries.items():
+            parts[i % 2].append(float(v))
+    except OverflowError:
+        raise NormDomainError(_PAST_FLOATS) from None
     try:
         l1 = math.fsum(map(abs, even))
     except OverflowError:
         # the terms are >= 0: a partial sum past the float range puts the sum there
         l1 = math.inf
     l2 = _euclidean(odd)
+    value = l1 + l2
     if not want_witness:
-        return l1 + l2
+        return value
+    if value == math.inf:
+        raise NormDomainError(_NO_FUNCTIONAL)
     f = {i: float(v) / l2 if i % 2 else math.copysign(1.0, v)
          for i, v in x.entries.items()}
-    return l1 + l2, SparseVector(f)
+    return value, SparseVector(f)
 
 
 @dataclass

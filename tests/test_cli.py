@@ -264,11 +264,17 @@ def test_theorems_check_prints_the_recorded_bytes(capsys):
 
 def test_overflowing_norms_are_domain_errors(capsys):
     # both printed `Infinity`, which is not JSON, and norm eval printed the
-    # zero functional as the norming functional of a nonzero vector
+    # zero functional as the norming functional of a nonzero vector; an int
+    # or fraction past the float range raised OverflowError, whose traceback
+    # exited 1, the code of a FAIL check
+    huge = str(2 ** 1100)
     for argv in (("norm", "eval", "--space", "kt:N=2",
                   "--vec", "2:1.5e308,3:1.5e308"),
                  ("tga", "run", "--space", "parity",
-                  "--vec", "2:1.5e308,4:1.5e308", "--m", "1")):
+                  "--vec", "2:1.5e308,4:1.5e308", "--m", "1"),
+                 ("norm", "eval", "--space", "kt:N=2", "--vec", f"1:{huge}"),
+                 ("norm", "eval", "--space", "ktsum:l2", "--vec", f"3:1,5:-{huge}"),
+                 ("norm", "eval", "--space", "parity", "--vec", f"2:{huge}/3")):
         assert main(list(argv)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -659,6 +659,12 @@ def test_best_coefficients_names_a_norm_overflow():
     x = SparseVector({2: 1.7e308, 3: 1.7e308, 5: 1.0})
     with pytest.raises(NormDomainError, match="overflows"):
         best_coefficients(x, (5,), make_space("ktsum:l2"))
+    # the l2 weight of a block whose peak partial sum overflows was inf / inf,
+    # and sigma_m raised VectorError on the NaN entry
+    x = SparseVector({10: -6.060828308873061e+307, 13: 1.0819115672673157e+308,
+                      14: 1.2131549338950908e+308})
+    with pytest.raises(NormDomainError, match="overflows"):
+        sigma_m(x, 2, make_space("ktsum:l2"), S1)
 
 
 def test_estimator_determinism_and_witnesses():

@@ -8,6 +8,7 @@ import pytest
 
 from greedylab import harness
 from greedylab.family_norms import jamesification_norm
+from greedylab.norms import kt_block_norm
 from greedylab.harness import (ConfigError, ExperimentSpec, _csv_cell,
                                list_experiments, parse_config, run_experiment)
 from greedylab.ordinals import Ordinal
@@ -193,6 +194,61 @@ def test_run_l2sum_default_spec_golden(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(L2SUM_GOLDEN)
     for name, digest in L2SUM_GOLDEN.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of the outputs of `greedylab repro <name>` at each experiment's
+# defaults (seed 0)
+DEFAULT_GOLDENS = {
+    "repro-kt-00": {
+        "repro-kt-00.csv":
+            "26fd6a53dc5ff831da7e4015ec46421e7df54390e7de57a60258a6d661fe4315",
+        "repro-kt-00.summary.json":
+            "d6f77bfbba779b478af5d6117d3d6206982b791742a2ddc2d6f2e56067c5d192",
+    },
+    "repro-parity": {
+        "repro-parity.csv":
+            "7e459c0a41e02d6a2117cb4213ece79e587e049dd4fde273f1271c7945695d0b",
+        "repro-parity.summary.json":
+            "b954a20c2b7efc6bcccc4f992c07247259f697cde26affd75f16d7533e7333b5",
+    },
+    "repro-james": {
+        "repro-james.csv":
+            "31d25457fc7cde2478840172964fde9c3f903de5e42ec95948c00c6ecb6e69dd",
+        "repro-james.summary.json":
+            "5f96c37e4bec0ef177ef8214480f1ef183aa26827edae0c19a6d1c79f2216e7f",
+    },
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(DEFAULT_GOLDENS))
+def test_default_spec_golden(experiment, tmp_path):
+    golden = DEFAULT_GOLDENS[experiment]
+    summary = run_experiment(ExperimentSpec(experiment), tmp_path)
+    assert summary["status"] == "PASS"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(golden)
+    for name, digest in golden.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_run_kt_00_failure_carries_its_witness(tmp_path, monkeypatch):
+    # a window norm off by a relative 1e-9 from N = 9 on misses the positive
+    # closed form H_N; the range starts at 5, so the harmonic starts at H_4
+    def skewed(x, N):
+        value = kt_block_norm(x, N)
+        return value * (1 + 1e-9) if N >= 9 else value
+
+    monkeypatch.setattr(harness, "kt_block_norm", skewed)
+    spec = ExperimentSpec("repro-kt-00", {"n_min": 5, "n_max": 20})
+    summary = run_experiment(spec, tmp_path)
+    assert summary["status"] == "FAIL"
+    assert _stored_summary(tmp_path, "repro-kt-00")["status"] == "FAIL"
+    [check] = summary["checks"]
+    assert (check["name"], check["status"]) == ("closed-forms", "FAIL")
+    witness = check["witness"]
+    assert witness["N"] == 9
+    assert witness["harmonic"] == float(sum(Fraction(1, i) for i in range(1, 10)))
+    positive = SparseVector({i: 1.0 / math.sqrt(i - 8) for i in range(9, 18)})
+    assert witness["positive"] == skewed(positive, 9)
 
 
 def test_unknown_experiment_rejected(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from greedylab.norms import (NormDomainError, block_sum_norm, kt_block_norm,
                              mixed_parity_norm)
 from greedylab.spaces import make_space
-from greedylab.vectors import SparseVector, VectorError
+from greedylab.vectors import SparseVector
 from references import kt_block_of, kt_global_index
 
 
@@ -77,6 +77,8 @@ def dense_kt_block_norm(x, N, want_witness=False):
     value = l2 if l2 >= best else best
     if not want_witness:
         return value
+    if value == math.inf:
+        raise NormDomainError("the norm overflows floats")
     if l2 >= best:
         c = 1 / l2 if l2 else 0
         if c == math.inf:  # 1/l2 overflows: the entries are divided by l2
@@ -107,6 +109,8 @@ def dense_block_sum_norm(x, outer, want_witness=False):
                  else math.hypot(*norms))
     if not want_witness:
         return value
+    if value == math.inf:
+        raise NormDomainError("the norm overflows floats")
     parts = [dense_kt_block_norm(SparseVector(entries), N, True)
              for N, entries in blocks]
     top = norms.index(value) if outer == "c0" and norms else None
@@ -131,11 +135,11 @@ _PAYLOADS = st.one_of(
 
 
 def _outcome(norm, *args):
-    # a witness entry is nan where the norm itself overflowed; both
-    # implementations then refuse to build the functional
+    # a norm past the float range has no norming functional: both
+    # implementations refuse to build one
     try:
         return norm(*args)
-    except VectorError as exc:
+    except NormDomainError as exc:
         return type(exc)
 
 
@@ -152,7 +156,7 @@ def test_window_norm_matches_dense_scan(N, data):
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
 @given(st.dictionaries(st.integers(1, 2000), _PAYLOADS, max_size=40).map(SparseVector),
        st.sampled_from(("c0", "l2")))
-# the block's Euclidean part and the total overflow: its weight is inf/inf
+# the block's Euclidean part and the total overflow: the functional is refused
 @example(SparseVector({2: 1.7e308, 3: 1.7e308}), "l2")
 def test_block_sum_norm_matches_dense_scan(x, outer):
     assert block_sum_norm(x, outer) == dense_block_sum_norm(x, outer)
@@ -177,12 +181,41 @@ def test_one_point_blocks_are_their_modulus(picks):
     assert block_sum_norm(x, "c0") == max(moduli, default=0.0)
     witness = _outcome(block_sum_norm, x, "c0", True)
     assert witness == _outcome(dense_block_sum_norm, x, "c0", True)
-    if witness is not VectorError and 0 < witness[0] and 1 / witness[0] < math.inf:
+    if witness is not NormDomainError and 0 < witness[0] and 1 / witness[0] < math.inf:
         # the c0 witness lives on the first block attaining the max
         value, f = witness
         g = next(g for g, m in zip(x.entries, moduli) if m == value)
         assert list(f.entries) == [g]
         assert f.entries[g] == (1 / value) * float(x.entries[g])
+
+
+def test_float_range_faults_are_domain_errors():
+    # block 4's peak partial sum overflows while its Euclidean part does not:
+    # the block's l2 weight v / value was inf / inf, and a NaN entry raised
+    # VectorError
+    x = SparseVector({10: -6.060828308873061e+307, 13: 1.0819115672673157e+308,
+                      14: 1.2131549338950908e+308})
+    assert block_sum_norm(x, "l2") == math.inf
+    for outer in ("c0", "l2"):
+        with pytest.raises(NormDomainError, match="no norming functional"):
+            block_sum_norm(x, outer, True)
+    with pytest.raises(NormDomainError, match="no norming functional"):
+        kt_block_norm(SparseVector({3: 1.7e308, 4: 1.7e308}), 3, True)
+    with pytest.raises(NormDomainError, match="no norming functional"):
+        mixed_parity_norm(SparseVector({2: 1e308, 4: 1e308}), True)
+    # an int or Fraction past the float range: float() raised OverflowError
+    for huge in (2 ** 1100, -2 ** 1100, Fraction(10 ** 400, 3)):
+        for norm in (lambda x, w: kt_block_norm(x, 2, w),
+                     lambda x, w: block_sum_norm(x, "c0", w),
+                     lambda x, w: block_sum_norm(x, "l2", w),
+                     mixed_parity_norm):
+            for want in (False, True):
+                with pytest.raises(NormDomainError,
+                                   match="a coefficient overflows floats"):
+                    norm(SparseVector({1: 1.0, 3: huge}), want)
+    # an index past the window is refused before anything is converted
+    with pytest.raises(NormDomainError, match=r"index 4 outside the window space \[1..3\]"):
+        kt_block_norm(SparseVector({1: 2 ** 1100, 4: 1.0, 5: 1.0}), 2)
 
 
 def test_functionals_stay_finite_at_subnormal_block_norms():

@@ -67,6 +67,30 @@ def test_constructor_matches_sorting_reference(pairs, form):
     assert ours == _outcome(reference_entries, form, pairs)
 
 
+_INDICATOR_INDICES = st.lists(st.one_of(st.integers(-2, 30), st.booleans(),
+                                        st.sampled_from(list(Slot))), max_size=12)
+_COEFFICIENTS = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, Fraction(0), NAN, -NAN, 1, 1.0]),
+    st.integers(-5, 5), st.floats(), st.fractions(max_denominator=50))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.one_of(_INDICATOR_INDICES, _INDICATOR_INDICES.map(sorted)), _COEFFICIENTS)
+def test_indicator_matches_the_checked_constructor(indices, coeff):
+    # unsorted, repeated, nonpositive, bool and IntEnum indices; zero, NaN,
+    # int, float and Fraction coefficients: the same entries and types, or the
+    # same refusal
+    def outcome(build):
+        try:
+            entries = build().entries
+        except VectorError as exc:
+            return str(exc)
+        return [(i, type(i), v, type(v)) for i, v in entries.items()]
+
+    assert outcome(lambda: SparseVector.indicator(indices, coeff)) == outcome(
+        lambda: SparseVector(dict.fromkeys(map(int, indices), coeff)))
+
+
 def test_constructor_index_rules():
     for bad in (True, False, 0, -3, "2", 2.0):
         with pytest.raises(VectorError):
