@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, combinations, product
 
 from .config import BudgetExceeded, node_budget
@@ -124,6 +125,11 @@ class _WindowDP:
       [t, r) lies at the limit level (its minimum is >= idx[t]), so the row
       is the running max of those values.
 
+    The successor step at position u reads best(b, u, w), w > R (below),
+    straight from the level-b rows: row (b, w) is made on first use,
+    extended down to u in place by `_fill_one` at level 1 (the one place the
+    heap step and `_interval_rows` run) or else by `_fill`, and read at u.
+
     The successor step scans only candidates that can win, by three rules
     resting on the families being hereditary and spreading:
 
@@ -187,29 +193,56 @@ class _WindowDP:
     def best(self, level, s, r):
         if self.reach(level, s) >= r:
             return self.ps[r] - self.ps[s]
-        row = self._rows.get((level, r))
+        rows = self._rows.setdefault(level, {})
+        row = rows.get(r)
         if row is None:
-            row = self._rows[(level, r)] = _Row(r)
+            row = rows[r] = _Row(r)
         if row.lo > s:
             self._fill(level, row, s, r)
         return row.best[s]
 
-    def _blocks(self, level, u, R, r):
-        """(w, best(level, u, w)) for the split points w = R..r that can win,
-        R = min(reach(level, u), r)."""
-        yield R, self.ps[R] - self.ps[u]
-        for w in range(R + 1, r + 1):
-            yield w, self.best(level, u, w)
-
     def _fill(self, level, row, s, r):
-        idxs, vals = self.idxs, self.vals
-        W = row.best
+        if level == ONE:
+            return self._fill_one(row, s, r)
+        idxs, ps, W, cols = self.idxs, self.ps, row.best, row.cols
         positions = range(row.lo - 1, s - 1, -1)
-        per_min = 2 if self._relaxed(level) else 1
-        cols = row.cols
-        if level == ONE and self.sp is None:
+        if level.is_limit:
+            for u in positions:
+                self._spend(1)
+                v = self.best(fundamental_term(level, idxs[u]).successor(), u, r)
+                W[u] = v if v > W[u + 1] else W[u + 1]
+        else:
+            pred = level.predecessor()
+            prows = self._rows.setdefault(pred, {})
+            extend = self._fill_one if pred == ONE else partial(self._fill, pred)
+            per_min = 2 if self._relaxed(level) else 1
+            for u in positions:
+                R = min(self.reach(pred, u), r)
+                K = min(per_min * idxs[u], len(cols[R]))
+                self._spend(K * (r - R + 1))
+                col = _padded(cols[u + 1], K + 1)
+                bw = ps[R] - ps[u]
+                for w in range(R, r + 1):
+                    if w > R:  # [u, w) is no member: best(pred, u, w) is a row's
+                        prow = prows.get(w)
+                        if prow is None:
+                            prow = prows[w] = _Row(w)
+                        if prow.lo > u:
+                            extend(prow, u, w)
+                        bw = prow.best[u]
+                    col[1:] = map(max, col[1:], [c + bw for c in _padded(cols[w], K)])
+                cols[u] = col
+                W[u] = col[K] if col[K] > W[u + 1] else W[u + 1]
+        row.lo = s
+
+    def _fill_one(self, row, s, r):
+        """Extend a level-1 row down to start s: the heap scan for the sup
+        norm, `_interval_rows` for the interval norm."""
+        idxs, W = self.idxs, row.best
+        positions = range(row.lo - 1, s - 1, -1)
+        if self.sp is None:
             self._spend(row.lo - s)
-            heap, total = row.heap, row.total
+            vals, heap, total = self.vals, row.heap, row.total
             for u in positions:
                 heapq.heappush(heap, vals[u])
                 total += vals[u]
@@ -217,25 +250,10 @@ class _WindowDP:
                     total -= heapq.heappop(heap)
                 W[u] = total if total >= W[u + 1] else W[u + 1]
             row.total = total
-        elif level.is_limit:
-            for u in positions:
-                self._spend(1)
-                v = self.best(fundamental_term(level, idxs[u]).successor(), u, r)
-                W[u] = v if v > W[u + 1] else W[u + 1]
-        elif level == ONE:
+        else:
+            per_min = 2 if self._relaxed(ONE) else 1
             self._spend(sum(min(per_min * idxs[u], r - u) for u in positions))
             _interval_rows(row, idxs, self.sp, r, per_min, positions)
-        else:
-            pred = level.predecessor()
-            for u in positions:
-                R = min(self.reach(pred, u), r)
-                K = min(per_min * idxs[u], len(cols[R]))
-                self._spend(K * (r - R + 1))
-                col = _padded(cols[u + 1], K + 1)
-                for w, bw in self._blocks(pred, u, R, r):
-                    col[1:] = map(max, col[1:], [c + bw for c in _padded(cols[w], K)])
-                cols[u] = col
-                W[u] = col[K] if col[K] > W[u + 1] else W[u + 1]
         row.lo = s
 
     def witness(self, level, s, r):
@@ -253,7 +271,7 @@ class _WindowDP:
             step, t = next((b, t) for b, t in steps if self.best(b, t, r) == target)
             return self.witness(step, t, r)
         pred = level.predecessor()
-        cols = self._rows[(level, r)].cols
+        cols = self._rows[level][r].cols
         if pred.is_zero:
             return _interval_walk(cols, idxs, self.sp, s, r, target)
         u = next(t for t in range(s, r) if cols[t][-1] == target)
@@ -264,7 +282,9 @@ class _WindowDP:
             if nxt[min(k, len(nxt) - 1)] == target:
                 u += 1
                 continue
-            for w, bw in self._blocks(pred, u, min(self.reach(pred, u), r), r):
+            # the split points that can win, as the fill scanned them
+            for w in range(min(self.reach(pred, u), r), r + 1):
+                bw = self.best(pred, u, w)
                 rest = cols[w][min(k - 1, len(cols[w]) - 1)]
                 if bw + rest == target:
                     break

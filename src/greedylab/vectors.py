@@ -91,13 +91,13 @@ class SparseVector:
 
     @classmethod
     def indicator(cls, indices, coeff=1) -> "SparseVector":
-        """`coeff` on each index; increasing indices >= 1 with a nonzero,
-        non-NaN `coeff` skip the constructor's per-entry checks."""
-        data = dict.fromkeys(map(int, indices), coeff)
+        """`coeff` on each index; increasing plain-int indices >= 1 with a
+        nonzero, non-NaN `coeff` skip the constructor's per-entry checks."""
+        data = dict.fromkeys(indices, coeff)
         keys = [*data]
         # the keys are distinct, so in sorted order they increase strictly
-        if (keys and keys[0] >= 1 and coeff != 0 and coeff == coeff
-                and keys == sorted(keys)):
+        if (keys and {*map(type, keys)} == {int} and keys[0] >= 1
+                and coeff != 0 and coeff == coeff and keys == sorted(keys)):
             return cls._of(data)
         return cls(data)
 

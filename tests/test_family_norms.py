@@ -616,12 +616,32 @@ def test_level_one_interval_norm_matches_the_first_written_recurrence(case):
 
 
 def test_window_dp_cells_are_the_candidates_scanned():
-    # the first-written successor step spent 3,662 and 104,458 cells here
+    # the first-written successor step spent 3,662 and 104,458 cells on the
+    # first two; the third is the benchmark's `james:2:n25:int` vector
     flat = SparseVector({i: 1 for i in range(3, 30)})
     signed = SparseVector({i: (-1) ** i * i for i in range(2, 41)})
-    for norm, x, cells, value in ((schreier_alpha_norm, flat, 828, 26),
-                                  (jamesification_norm, signed, 7096, 817)):
+    james25 = SparseVector(dict(enumerate(
+        [-4, -1, -4, -9, 1, 4, 7, 1, -7, 6, 8, 3, 2, 3, 3, 2, -2, -6, 5, 1,
+         9, -3, 9, 7, -1], 1)))
+    for norm, x, cells, value, attained in (
+            (schreier_alpha_norm, flat, 828, 26, 21),
+            (jamesification_norm, signed, 7096, 817, 495),
+            (jamesification_norm, james25, 2034, 104, 9)):
         assert norm(x, TWO, max_nodes=cells) == value
         assert norm(x, TWO, max_nodes=cells, want_witness=True)[0] == value
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as info:
             norm(x, TWO, max_nodes=cells - 1)
+        assert str(info.value) == (f"window DP would exceed {cells - 1} cells "
+                                   f"(greedy member attains {attained})")
+        assert info.value.attained == attained
+    # level 3 over the sup norm: the norm drops index 1 and runs the DP only
+    # past the 2,046-point member from 2, so the DP runs here on [1..24]
+    # itself, level-3 rows over level-2 and level-1 rows
+    three = parse_ordinal("3")
+    values = [(i, (i * 7) % 11 + 1) for i in range(1, 25)]
+    dp = family_norms._WindowDP(values, three, 3364)
+    assert dp.best(three, 0, 24) == 136 and dp.cells == 3364
+    assert dp.witness(three, 0, 24) == tuple(range(2, 25)) and dp.cells == 3364
+    with pytest.raises(BudgetExceeded, match="exceed 3363 cells") as info:
+        family_norms._WindowDP(values, three, 3363).best(three, 0, 24)
+    assert info.value.attained == 8

@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 from greedylab import harness
-from greedylab.family_norms import jamesification_norm
+from greedylab.config import BudgetExceeded
+from greedylab.family_norms import jamesification_norm, weighted_schreier_norm
 from greedylab.norms import kt_block_norm
 from greedylab.harness import (ConfigError, ExperimentSpec, _csv_cell,
                                list_experiments, parse_config, run_experiment)
 from greedylab.ordinals import Ordinal
-from greedylab.rah import IndexStream, rah_sequence
+from greedylab.rah import IndexStream, make_weight_family, rah_sequence
+from greedylab.schreier import min_level_find
 from greedylab.spaces import make_space
 from greedylab.vectors import SparseVector
 
@@ -122,6 +124,115 @@ def test_run_james_failures_carry_their_witnesses(tmp_path, monkeypatch):
     alternating = SparseVector({i: (-1) ** i * a for i, a in average.entries.items()})
     assert shrink["witness"] == {"start": 3, "alt_norm":
                                  float(12 - jamesification_norm(alternating))}
+
+
+def test_run_james_falling_ratio_fails_with_its_witness(tmp_path, monkeypatch):
+    # halving the positive average's norm at start 4 (exact payloads only, so
+    # the float greedy-removal vectors keep the true norm) drops the ratio
+    # from 1 / (5/9) = 1.8 to (1/2) / (53/128), while both alternating norms
+    # stay below 12 / start
+    def halved(x):
+        value = jamesification_norm(x)
+        average = x.entries and not x.has_float_payload()
+        if average and min(x.entries) == 4 and min(x.entries.values()) > 0:
+            return value / 2
+        return value
+
+    monkeypatch.setattr(harness, "jamesification_norm", halved)
+    spec = ExperimentSpec("repro-james", {"samples": 5, "witness_count": 2}, seed=2)
+    summary = run_experiment(spec, tmp_path)
+    assert summary["status"] == "FAIL"
+    removal, shrink = summary["checks"]
+    assert removal["status"] == "PASS"
+    assert (shrink["name"], shrink["status"]) == ("alternating-average-shrinks", "FAIL")
+    assert shrink["witness"] == {"start": 4, "ratio": float(Fraction(64, 53)),
+                                 "prev": 1.8}
+
+
+def test_run_james_budget_rows(tmp_path, monkeypatch):
+    # the first average refused: no norms; the second one's alternating norm
+    # refused: its positive norm only
+    calls = []
+
+    def first_refused(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise BudgetExceeded("average refused")
+        return rah_sequence(*args)
+
+    def alternating_refused(x):
+        if x.entries and not x.has_float_payload() and min(x.entries.values()) < 0:
+            raise BudgetExceeded("norm refused")
+        return jamesification_norm(x)
+
+    monkeypatch.setattr(harness, "rah_sequence", first_refused)
+    monkeypatch.setattr(harness, "jamesification_norm", alternating_refused)
+    spec = ExperimentSpec("repro-james", {"samples": 5, "witness_count": 2}, seed=2)
+    summary = run_experiment(spec, tmp_path)
+    rows = (tmp_path / "repro-james.csv").read_text().splitlines()
+    assert rows[1:] == ["3,BUDGET,,", "4,1/1,BUDGET,"]  # the norm is Fraction(1)
+    # a refused row is left out of the check, which passes on what it read
+    assert [c["status"] for c in summary["checks"]] == ["PASS", "PASS"]
+    assert len(calls) == 2
+
+
+def test_run_parity_inconsistent_norms_carry_their_witness(tmp_path, monkeypatch):
+    # a parity norm doubled on sets of 3 or more points leaves the ratio at
+    # sqrt(N) but breaks the norms' closed forms from N = 3 on
+    def doubled(descriptor):
+        space = make_space(descriptor)
+        return dataclasses.replace(space, evaluate=lambda x, want=False: (
+            2 if len(x.entries) >= 3 else 1) * space.evaluate(x))
+
+    monkeypatch.setattr(harness, "make_space", doubled)
+    spec = ExperimentSpec("repro-parity", {"n_max": 6})
+    summary = run_experiment(spec, tmp_path)
+    assert summary["status"] == "FAIL"
+    [check] = summary["checks"]
+    assert (check["name"], check["status"]) == ("ratio-is-sqrt", "FAIL")
+    assert check["witness"] == {"N": 3, "ratio": math.sqrt(3),
+                                "expected": math.sqrt(3), "norms_consistent": False}
+
+
+def test_run_walpha_failures_carry_their_witnesses(tmp_path, monkeypatch):
+    # a weighted norm tripled on vectors starting at 24 or later: e_24 has
+    # norm 3, and the first sampled set starting there has norm >= 3
+    def tripled(x, family):
+        value = weighted_schreier_norm(x, family)
+        return 3 * value if min(x.entries) >= 24 else value
+
+    monkeypatch.setattr(harness, "weighted_schreier_norm", tripled)
+    spec = ExperimentSpec("repro-walpha", {"blocks": 2, "samples": 20}, seed=3)
+    summary = run_experiment(spec, tmp_path)
+    assert summary["status"] == "FAIL"
+    checks = {c["name"]: c for c in summary["checks"]}
+    basis = checks["unit-vectors-normalized"]
+    assert (basis["status"], basis["witness"]) == ("FAIL", {"n": 24, "norm": 3.0})
+    sampled = checks["small-family-sets-bounded"]
+    assert sampled["status"] == "FAIL"
+    A = sampled["witness"]["A"]
+    family = make_weight_family(Ordinal.from_int(1), 2, 2)
+    value = float(tripled(SparseVector.indicator(A, 1), family))
+    assert sampled["witness"]["norm"] == value == sampled["value"] >= 3
+    assert checks["block-certificates"]["status"] == "PASS"
+
+
+def test_run_m31_failure_carries_its_witness(tmp_path, monkeypatch):
+    # a level search that gives up on every set of 3 or more points
+    def short_sighted(S, alpha, cap):
+        return None if len(S) >= 3 else min_level_find(S, alpha, cap)
+
+    monkeypatch.setattr(harness, "min_level_find", short_sighted)
+    spec = ExperimentSpec("repro-m31", {"samples": 10, "m_cap": 12}, seed=1)
+    summary = run_experiment(spec, tmp_path)
+    assert summary["status"] == "FAIL"
+    [check] = summary["checks"]
+    assert (check["name"], check["status"]) == ("every-high-set-joins-a-level", "FAIL")
+    rows = [row.split(",") for row in
+            (tmp_path / "repro-m31.csv").read_text().splitlines()[1:]]
+    unplaced = [tuple(map(int, s.split(";"))) for _, s, m in rows if m == ""]
+    assert unplaced and all(len(S) >= 3 for S in unplaced)
+    assert tuple(check["witness"]["set"]) == unplaced[0]
 
 
 def test_run_l2sum_failure_carries_its_witness(tmp_path, monkeypatch):

@@ -68,7 +68,9 @@ def test_constructor_matches_sorting_reference(pairs, form):
 
 
 _INDICATOR_INDICES = st.lists(st.one_of(st.integers(-2, 30), st.booleans(),
-                                        st.sampled_from(list(Slot))), max_size=12)
+                                        st.sampled_from(list(Slot)),
+                                        st.sampled_from([2.0, 2.7, 5.5])),
+                               max_size=12)
 _COEFFICIENTS = st.one_of(
     st.sampled_from([0, 0.0, -0.0, Fraction(0), NAN, -NAN, 1, 1.0]),
     st.integers(-5, 5), st.floats(), st.fractions(max_denominator=50))
@@ -77,9 +79,9 @@ _COEFFICIENTS = st.one_of(
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(st.one_of(_INDICATOR_INDICES, _INDICATOR_INDICES.map(sorted)), _COEFFICIENTS)
 def test_indicator_matches_the_checked_constructor(indices, coeff):
-    # unsorted, repeated, nonpositive, bool and IntEnum indices; zero, NaN,
-    # int, float and Fraction coefficients: the same entries and types, or the
-    # same refusal
+    # unsorted, repeated, nonpositive, bool, IntEnum and float indices; zero,
+    # NaN, int, float and Fraction coefficients: the same entries and types,
+    # or the same refusal
     def outcome(build):
         try:
             entries = build().entries
@@ -88,13 +90,15 @@ def test_indicator_matches_the_checked_constructor(indices, coeff):
         return [(i, type(i), v, type(v)) for i, v in entries.items()]
 
     assert outcome(lambda: SparseVector.indicator(indices, coeff)) == outcome(
-        lambda: SparseVector(dict.fromkeys(map(int, indices), coeff)))
+        lambda: SparseVector(dict.fromkeys(indices, coeff)))
 
 
 def test_constructor_index_rules():
     for bad in (True, False, 0, -3, "2", 2.0):
         with pytest.raises(VectorError):
             SparseVector({bad: 1.0})
+        with pytest.raises(VectorError, match=f"bad index {bad!r}"):
+            SparseVector.indicator([bad, 5], 1.0)
     x = SparseVector({Slot.THIRD: 2.0, 2: 1.0, Slot.FIRST: -1.0})
     assert list(x.entries) == [1, 2, 3]
     # a repeated key keeps its first place, then the entries are sorted
