@@ -35,7 +35,7 @@ from itertools import chain, combinations, count, islice, product
 
 from .norms import NormDomainError
 from .schreier import family_members_within
-from .vectors import SparseVector, over_one_denominator
+from .vectors import SparseVector, over_one_denominator, sorted_sample
 
 TIE_TOL = 1e-12
 GAP_TOL = 1e-9
@@ -434,10 +434,10 @@ class ConstantEstimate:
 def _random_vector(rng, spec: SearchSpec, cap: int) -> SparseVector:
     size = rng.randint(1, spec.support_cap)
     hi = min(spec.index_range, cap)
-    indices = rng.sample(range(1, hi + 1), min(size, hi))
+    indices = sorted_sample(rng, range(1, hi + 1), min(size, hi))
     mode = rng.choice(("signs", "uniform", "decay"))
     entries = {}
-    for rank, i in enumerate(sorted(indices), start=1):
+    for rank, i in enumerate(indices, start=1):
         if mode == "signs":
             entries[i] = float(rng.choice((-1, 1)))
         elif mode == "uniform":
@@ -551,7 +551,7 @@ def _disjoint_sets(rng, oracle, family, spec: SearchSpec, spare: int):
     if len(rest) < len(A) + spare:
         return None
     size = rng.randint(len(A), min(len(rest) - spare, max(len(A), spec.set_size_cap)))
-    return A, tuple(sorted(rng.sample(rest, size))), rest
+    return A, tuple(sorted_sample(rng, rest, size)), rest
 
 
 def _sampled_configs(name, rng, oracle, family, spec: SearchSpec):
@@ -649,7 +649,7 @@ def _random_property_config(rng, oracle, family, spec) -> PropertyConfig | None:
     A, B, rest = drawn
     left = [i for i in rest if i not in set(B)]
     supp_size = rng.randint(0, min(len(left), spec.support_cap))
-    supp = tuple(sorted(rng.sample(left, supp_size)))
+    supp = tuple(sorted_sample(rng, left, supp_size))
     x = SparseVector({i: rng.uniform(-1.0, 1.0) for i in supp})
     signs = {i: float(rng.choice((-1, 1))) for i in A}
     b = {n: float(rng.choice((-1, 1))) * rng.choice((1.0, 1.5, 2.0)) for n in B}
@@ -767,7 +767,7 @@ def theorem_suite(oracle, family, spec: TheoremSuiteSpec) -> dict:
         hi = min(oracle.dimension_cap, 64)
         for _ in range(spec.sign_sets):
             size = min(rng.randint(1, spec.sign_set_size), hi)
-            A = tuple(sorted(rng.sample(range(1, hi + 1), size)))
+            A = tuple(sorted_sample(rng, range(1, hi + 1), size))
             base = oracle.norm(SparseVector.indicator(A, 1.0))
             for signs in product((-1.0, 1.0), repeat=size):
                 val = oracle.norm(SparseVector.signed_indicator(A, signs))

@@ -8,11 +8,46 @@ evaluators share one container.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite, lcm
+from math import ceil, isfinite, lcm, log
 
 
 class VectorError(ValueError):
     pass
+
+
+def sorted_sample(rng, population, k):
+    """`sorted(rng.sample(population, k))` for a `random.Random` and a range
+    or list population, with the same `getrandbits` words drawn in the same
+    order, so the result and the generator's state afterwards are those of
+    CPython 3.11's `sample`; its per-draw `_randbelow` call is written
+    inline.  A k outside 0..n gets `sample`'s own ValueError."""
+    n = len(population)
+    if not 0 <= k <= n:
+        return rng.sample(population, k)
+    getrandbits = rng.getrandbits
+    # sample's choice: a set of the drawn positions when a k-element set is
+    # smaller than an n-element list, else a pool of the undrawn elements
+    if n > 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):
+        bits = n.bit_length()
+        selected = set()
+        add = selected.add
+        # a word at or past n, or one already drawn, is drawn again
+        while len(selected) < k:
+            j = getrandbits(bits)
+            if j < n:
+                add(j)
+        return sorted(map(population.__getitem__, selected))
+    pool = list(population)
+    drawn = []
+    for m in range(n, n - k, -1):
+        bits = m.bit_length()
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
+        drawn.append(pool[j])
+        pool[j] = pool[m - 1]  # the last undrawn element fills the vacancy
+    drawn.sort()
+    return drawn
 
 
 def _parse_scalar(token: str):

@@ -171,8 +171,11 @@ def test_run_james_budget_rows(tmp_path, monkeypatch):
     summary = run_experiment(spec, tmp_path)
     rows = (tmp_path / "repro-james.csv").read_text().splitlines()
     assert rows[1:] == ["3,BUDGET,,", "4,1/1,BUDGET,"]  # the norm is Fraction(1)
-    # a refused row is left out of the check, which passes on what it read
-    assert [c["status"] for c in summary["checks"]] == ["PASS", "PASS"]
+    # a refused row is left out of the check, which reads BUDGET: it passed
+    # on what it read, but not every row was read
+    assert [c["status"] for c in summary["checks"]] == ["PASS", "BUDGET"]
+    assert summary["status"] == "BUDGET"
+    assert _stored_summary(tmp_path, "repro-james")["status"] == "BUDGET"
     assert len(calls) == 2
 
 
@@ -328,6 +331,12 @@ DEFAULT_GOLDENS = {
         "repro-james.summary.json":
             "5f96c37e4bec0ef177ef8214480f1ef183aa26827edae0c19a6d1c79f2216e7f",
     },
+    "repro-m31": {
+        "repro-m31.csv":
+            "4b640e425ebb114db8ad685ac7f56ffdc3c4ddf6ed33609c68ef4a0787d7a076",
+        "repro-m31.summary.json":
+            "bc79e1b738fd22b5a8bca343158f0bef712998b55068c8c0eb6518a483c38874",
+    },
 }
 
 
@@ -373,6 +382,33 @@ def test_missing_config_is_a_config_error(tmp_path):
         parse_config(tmp_path / "no_such.cfg")
     with pytest.raises(ConfigError):
         parse_config(tmp_path)  # a directory
+
+
+def test_parse_config_errors_name_their_line(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    for text, message in (
+            ("experiment = repro-m31\nsamples 3\n",
+             "line 2: expected `key = value`, got 'samples 3'"),
+            ("# seeded\nexperiment = repro-m31\nseed = one\n",
+             "line 3: seed must be an integer, got 'one'"),
+            ("seed = 3\n", "config names no experiment"),
+            ("experiment = repro-nope\n", "unknown experiment 'repro-nope'")):
+        cfg.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            parse_config(cfg)
+        assert str(info.value) == message
+
+
+def test_json_writes_fractions_as_num_den_pairs(tmp_path):
+    # a numerator past 63 bits becomes its descriptor, as a big int does
+    big = 2**70 + 1
+    payload = {"ratio": Fraction(-3, 4), 7: [Fraction(big, 3)]}
+    assert json.loads(harness.json_text(payload)) == {
+        "ratio": {"num": -3, "den": 4},
+        "7": [{"num": {"bit_length": 71, "hex_head": "8000000000000000"},
+               "den": 3}]}
+    harness.write_json(tmp_path / "out.json", payload)
+    assert (tmp_path / "out.json").read_text() == harness.json_text(payload) + "\n"
 
 
 def test_unknown_parameter_rejected(tmp_path):

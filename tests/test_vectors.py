@@ -1,14 +1,15 @@
 import math
+import random
 from enum import IntEnum
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greedylab.norms import block_sum_norm, kt_block_norm
 from greedylab.spaces import make_space
-from greedylab.vectors import SparseVector, VectorError
+from greedylab.vectors import SparseVector, VectorError, sorted_sample
 
 NAN = math.nan
 
@@ -160,3 +161,51 @@ def test_drop_and_restrict_match_the_checked_constructor(pairs, picked):
         assert [type(v) for v in got.entries.values()] == \
             [type(v) for v in want.entries.values()]
     assert x.drop(()) == x and x.restrict(()).is_zero
+
+
+def _set_size(k):
+    """`random.sample`'s bound on n: past it, it keeps a set of the drawn
+    positions instead of a pool of the undrawn elements."""
+    return 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+
+@st.composite
+def _sample_cases(draw):
+    """(population, k): k at most 5 or past it, n from k (the pool side,
+    k = n included) or past `_set_size(k)` (the set side); a range with any
+    start and step, or a list with repeats.  Either side's last n is drawn
+    apart."""
+    k = draw(st.one_of(st.integers(0, 5), st.integers(6, 60)))
+    bound = _set_size(k)
+    n = draw(st.one_of(st.just(k), st.integers(k, bound), st.just(bound),
+                       st.just(bound + 1), st.integers(bound + 1, bound + 400)))
+    if draw(st.booleans()):
+        step = draw(st.sampled_from((1, 1, 3, -1, -7)))
+        start = draw(st.integers(-10**6, 10**6))
+        return range(start, start + step * n, step), k
+    fill = random.Random(draw(st.integers(0, 2**32)))
+    return [fill.randint(-20, 20) for _ in range(n)], k
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(_sample_cases(), st.integers(0, 2**64))
+@example((range(1, 4097), 200), 0)  # repro-l2sum's largest draw: the set side
+@example((range(1, 41), 12), 0)  # repro-james's largest draw: the pool side
+@example((range(5, 5), 0), 3)
+@example((range(30), 30), 1)
+def test_sorted_sample_draws_what_random_sample_draws(case, seed):
+    population, k = case
+    reference, rng = random.Random(seed), random.Random(seed)
+    assert sorted_sample(rng, population, k) == sorted(reference.sample(population, k))
+    assert rng.getstate() == reference.getstate()
+
+
+def test_sorted_sample_refuses_what_random_sample_refuses():
+    for population, k in ((range(3), 4), (range(3), -1), ([], 1)):
+        with pytest.raises(ValueError) as want:
+            random.Random(0).sample(population, k)
+        rng = random.Random(0)
+        with pytest.raises(ValueError) as got:
+            sorted_sample(rng, population, k)
+        assert str(got.value) == str(want.value)
+        assert rng.getstate() == random.Random(0).getstate()
