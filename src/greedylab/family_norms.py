@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate, combinations, product
+from operator import add
 
 from .config import BudgetExceeded, node_budget
 from .ordinals import ONE, ZERO, Ordinal, fundamental_term
@@ -61,6 +62,14 @@ def _exact(solve, x, alpha, max_cells, want_witness):
         raise BudgetExceeded(f"{exc} (greedy member attains {held})",
                              attained=held) from None
     return _divided(out, D, want_witness)
+
+
+def _member_window(entries, want_witness):
+    """A support that is itself a member, as the window DP answers it: worth
+    its sum of |x|, added in index order as the DP's prefix sums add it, and
+    its own witness.  No row is filled and no cell spent."""
+    total = reduce(add, map(abs, entries.values()), 0)
+    return (total, tuple(entries)) if want_witness else total
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +386,14 @@ class _Row:
 
 
 def _sup_best(entries, alpha, max_cells, want_witness):
-    """Exact family sup norm, with the member attaining it: the level-1 heap
-    scan, the largest modulus at level 0, else the window DP.  The only
-    member holding index 1 is {1}, so the DP runs on the rest, which is often
-    a member itself and needs no table, and 1 is compared with its optimum.
+    """Exact family sup norm, with the member attaining it: at level 1 the
+    support itself when it is a member, else the heap scan; the largest
+    modulus at level 0; else the window DP.  The only member holding index 1
+    is {1}, so the DP runs on the rest, which is often a member itself and
+    needs no table, and 1 is compared with its optimum.
     """
+    if alpha == ONE and len(entries) <= next(iter(entries)):
+        return _member_window(entries, want_witness)
     values = [(i, abs(v)) for i, v in entries.items()]
     if alpha == ONE:  # the DP's level-1 rows ran 2-3x slower on small supports
         return _s1_best(values, want_witness)
@@ -403,7 +415,8 @@ def schreier_alpha_norm(x: SparseVector, alpha: Ordinal, max_nodes=None,
 
     `max_nodes` bounds the window DP's cells at levels >= 2 (default
     `node_budget()`); the level-0 and level-1 scans are linear and spend
-    none.  Exhausted search budgets raise instead of silently approximating.
+    none, and neither does a support that is itself a member, at any level.
+    Exhausted search budgets raise instead of silently approximating.
     """
     return _exact(_sup_best, x, alpha, max_nodes, want_witness)
 
@@ -441,8 +454,10 @@ def _interval_norm(entries, alpha, max_cells, want_witness):
 
     Minima may be restricted to support points: sliding an interval's start
     right to its first support point keeps every block sum and only spreads
-    the minima set, which stays in the family.  Level 1 fills one row,
-    r = n, directly; its cells are charged up front, and a refusal carries
+    the minima set, which stays in the family.  At level 1 a support of at
+    most 2*min points is a relaxed member, worth its sum of |x| with no cell
+    spent, as the window DP answers a member window; any other fills one
+    row, r = n, directly, its cells charged up front, and a refusal carries
     the relaxed family's greedy member, the first 2*min points.
     """
     support, coeffs = list(entries), list(entries.values())
@@ -452,6 +467,8 @@ def _interval_norm(entries, alpha, max_cells, want_witness):
                        signed=coeffs)
         best = dp.best(alpha, 0, n)
         return (best, dp.witness(alpha, 0, n)) if want_witness else best
+    if n <= 2 * support[0]:
+        return _member_window(entries, want_witness)
     # through a _WindowDP, the many calls on a few points ran twice as slow
     max_cells = node_budget() if max_cells is None else max_cells
     if n * (n + 1) // 2 > max_cells:  # n - u cells at most at each u
@@ -475,8 +492,9 @@ def jamesification_norm(x: SparseVector, alpha: Ordinal = ONE, max_nodes=None,
 
     `max_nodes` bounds the DP cells (default `node_budget()`): at level 1,
     the sum over support positions u of min(2 * idx_u, n - u), the chain
-    lengths its one row scans on n points, else the window DP's.
-    Exhausted budgets raise.
+    lengths its one row scans on n points, else the window DP's.  A support
+    that is itself a relaxed member (at level 1, n <= 2 * min) spends no
+    cells.  Exhausted budgets raise.
     """
     if not alpha.is_successor:
         raise FamilyError(f"interval-system norm needs a successor level, got {alpha}")

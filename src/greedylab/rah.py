@@ -534,11 +534,13 @@ class GeometricBlock:
 
 def int_descriptor(v):
     """JSON form of an int or ShiftedInt: itself up to 63 bits, otherwise its
-    bit length and leading 64 bits in hex."""
+    bit length and the leading 64 bits of its magnitude in hex, signed."""
     bits = v.bit_length()
     if bits <= 63:
         return int(v)
-    return {"bit_length": bits, "hex_head": format(v >> (bits - 64), "x")}
+    sign = "-" if v < 0 else ""
+    head = (-v if sign else v) >> (bits - 64)
+    return {"bit_length": bits, "hex_head": sign + format(head, "x")}
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,9 +11,9 @@ from hypothesis import strategies as st
 
 from greedylab import family_norms
 from greedylab.config import BudgetExceeded
-from greedylab.family_norms import (jamesification_norm, naive_james_norm,
-                                    naive_schreier_norm, schreier_alpha_norm,
-                                    weighted_schreier_norm)
+from greedylab.family_norms import (interval_functional, jamesification_norm,
+                                    naive_james_norm, naive_schreier_norm,
+                                    schreier_alpha_norm, weighted_schreier_norm)
 from greedylab.ordinals import OMEGA, ONE, ZERO, parse_ordinal
 from greedylab.rah import make_weight_family
 from greedylab.schreier import f_alpha_member, schreier_member
@@ -266,6 +268,8 @@ def test_budget_is_read_only_when_a_cell_is_spent(monkeypatch):
     for alpha in (TWO, parse_ordinal("w+1")):
         assert schreier_alpha_norm(member, alpha) == 10
         assert jamesification_norm(member, alpha) == 10
+    # at level 1 too: four points from 3 are a relaxed member
+    assert jamesification_norm(member, ONE) == 10
     assert not reads
     # a support that is no member spends cells, so it reads the budget
     assert schreier_alpha_norm(SparseVector.indicator(range(3, 30), 1), TWO) == 26
@@ -384,12 +388,16 @@ def test_james_budget_error():
         assert info.value.attained == 2 + 3 + 4 + 5
         assert type(info.value.attained) is int
         assert "attains 14)" in str(info.value)
-    # n = 6 points from 3: min(2*idx_u, 6 - u) = 6 - u, 21 cells in all
-    x = SparseVector({i: (-1) ** i * i for i in range(3, 9)})
-    assert jamesification_norm(x, ONE, max_nodes=21) == naive_james_norm(x)
+    # n = 7 points from 3: min(2*idx_u, 7 - u) is 6 at u = 0, else 7 - u,
+    # 27 cells in all
+    x = SparseVector({i: (-1) ** i * i for i in range(3, 10)})
+    assert jamesification_norm(x, ONE, max_nodes=27) == naive_james_norm(x) == 39
     with pytest.raises(BudgetExceeded) as info:
-        jamesification_norm(x, ONE, max_nodes=20)
-    assert info.value.attained == sum(range(3, 9))
+        jamesification_norm(x, ONE, max_nodes=26)
+    assert info.value.attained == sum(range(3, 9)) == 33
+    # 6 points from 3 are a relaxed member: worth their sum of |x|, no cell
+    x = SparseVector({i: (-1) ** i * i for i in range(3, 9)})
+    assert jamesification_norm(x, ONE, max_nodes=1) == 33
 
 
 def test_james_level_one_large_support_under_default_budget(monkeypatch):
@@ -613,6 +621,43 @@ def test_level_one_interval_norm_matches_the_first_written_recurrence(case):
     with pytest.raises(BudgetExceeded) as info:
         jamesification_norm(x, ONE, max_nodes=cells - 1)
     assert f"needs {cells} cells, over {cells - 1}" in str(info.value)
+
+
+@st.composite
+def _member_windows(draw, per_min):
+    """(support, coefficients, payload kind): a level-1 member (per_min 1) or
+    relaxed level-1 member (per_min 2), on [1..10] for the naive references
+    to check exact payloads, on [1..40] for floats."""
+    kind = draw(st.sampled_from(sorted(_DP_PAYLOADS)))
+    top = 40 if kind == "float" else 10
+    first = draw(st.integers(1, top))
+    rest = draw(st.sets(st.integers(first, top), max_size=per_min * first))
+    support = sorted({first} | rest)[:per_min * first]
+    coeffs = draw(st.lists(_DP_PAYLOADS[kind], min_size=len(support),
+                           max_size=len(support)))
+    return support, coeffs, kind
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.sampled_from(("sup", "interval")), st.data())
+def test_level_one_member_windows_are_worth_their_sum(norm, data):
+    # both level-1 norms answer a member support as the window DP answers a
+    # member window, with no row and no cell
+    support, coeffs, kind = data.draw(_member_windows(1 if norm == "sup" else 2))
+    x = SparseVector(dict(zip(support, coeffs)))
+    evaluate = schreier_alpha_norm if norm == "sup" else jamesification_norm
+    value, wit = evaluate(x, ONE, max_nodes=1, want_witness=True)
+    assert evaluate(x, ONE, max_nodes=1) == value and wit == x.support
+    if kind == "float":
+        dp = _window_dp(family_norms._WindowDP, support, coeffs, norm, ONE)
+        assert value == dp.best(ONE, 0, len(support)) and dp.cells == 0
+    else:
+        naive = naive_schreier_norm(x, ONE) if norm == "sup" else naive_james_norm(x)
+        assert value == naive == sum(map(abs, coeffs))
+    if norm == "interval":
+        f_value, f = interval_functional(x)
+        assert f_value == value and set(f.entries.values()) <= {-1, 1}
+        assert reduce(add, (f.get(i) * v for i, v in x.items()), 0) == value
 
 
 def test_window_dp_cells_are_the_candidates_scanned():

@@ -409,6 +409,10 @@ def test_json_writes_fractions_as_num_den_pairs(tmp_path):
                "den": 3}]}
     harness.write_json(tmp_path / "out.json", payload)
     assert (tmp_path / "out.json").read_text() == harness.json_text(payload) + "\n"
+    # a negative one heads its magnitude, signed
+    assert json.loads(harness.json_text({"r": Fraction(-big, 3)})) == {
+        "r": {"num": {"bit_length": 71, "hex_head": "-8000000000000000"},
+              "den": 3}}
 
 
 def test_unknown_parameter_rejected(tmp_path):
