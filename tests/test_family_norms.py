@@ -626,10 +626,10 @@ def test_level_one_interval_norm_matches_the_first_written_recurrence(case):
 @st.composite
 def _member_windows(draw, per_min):
     """(support, coefficients, payload kind): a level-1 member (per_min 1) or
-    relaxed level-1 member (per_min 2), on [1..10] for the naive references
+    relaxed level-1 member (per_min 2), on [1..8] for the naive references
     to check exact payloads, on [1..40] for floats."""
     kind = draw(st.sampled_from(sorted(_DP_PAYLOADS)))
-    top = 40 if kind == "float" else 10
+    top = 40 if kind == "float" else 8
     first = draw(st.integers(1, top))
     rest = draw(st.sets(st.integers(first, top), max_size=per_min * first))
     support = sorted({first} | rest)[:per_min * first]
