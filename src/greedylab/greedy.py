@@ -11,12 +11,14 @@ gap.  Candidate supports lie in the support of x, plus the EXTRA_OFFSUPPORT
 smallest unused indices where the suppression constant is not 1 (an
 off-support index cannot lower a projection error).  One loop,
 `_best_support`, searches both errors (sigma_m, almost_greedy_error): it skips
-a support unsolved when the largest modulus it leaves, a lower bound on its
-error since every norm here dominates the sup norm, cannot beat the best so
-far, and a per-sample memo solves each support once for all the orders m of
-one sampled vector.  Kelley's loop stops once a cut's exact lower bound
-reaches the best error so far (branch and bound); the memo keeps that bound
-and solves the support again at an order whose cutoff it does not reach.
+a support A unsolved when the space's floor of x.drop(A) (`NormOracle.floor`:
+a 1-unconditional norm the space's norm dominates, the sup norm unless the
+space names another), a lower bound on A's error, cannot beat the best so
+far, compared exactly on the payload scaled to ints; and a per-sample memo
+solves each support once for all the orders m of one sampled vector.
+Kelley's loop stops once a cut's exact lower bound reaches the best error so
+far (branch and bound); the memo keeps that bound and solves the support
+again at an order whose cutoff it does not reach.
 Outputs are those of the unpruned search.  Each constant's defining ratio is
 written once, in `_ratio`: the estimators maximize it into certified lower
 bounds, and their witnesses replay through it; `property_A_check` returns the
@@ -79,8 +81,10 @@ def greedy_set(x: SparseVector, m: int, tie_break: str = "smallest-index",
     """Greedy set(s) of order m.
 
     Canonical mode breaks modulus ties by smallest index; enumerate-all mode
-    returns every completion of the tied boundary.  Orders beyond the support
-    pad with the smallest unused indices (zero coefficients tie), flagged.
+    returns every completion of the tied boundary.  A modulus ties with the
+    m-th largest within TIE_TOL, relative below 1 as `_cutoff`'s margin is.
+    Orders beyond the support pad with the smallest unused indices (zero
+    coefficients tie), flagged.
     """
     if tie_break not in ("smallest-index", "enumerate-all"):
         raise GreedyError(f"unknown tie_break {tie_break!r}")
@@ -98,8 +102,9 @@ def greedy_set(x: SparseVector, m: int, tie_break: str = "smallest-index",
         results = [_result_for(x, (), 0, False)]
     else:
         threshold = abs(x.entries[ranked[m - 1]])
-        above = [i for i in ranked if abs(x.entries[i]) > threshold + TIE_TOL]
-        tied = [i for i in ranked if abs(abs(x.entries[i]) - threshold) <= TIE_TOL]
+        tol = TIE_TOL * min(1, threshold)
+        above = [i for i in ranked if abs(x.entries[i]) > threshold + tol]
+        tied = [i for i in ranked if abs(abs(x.entries[i]) - threshold) <= tol]
         tie_flag = len(above) + len(tied) > m
         if tie_break == "smallest-index":
             results = [_result_for(x, tuple(ranked[:m]), m, tie_flag)]
@@ -290,10 +295,13 @@ class ApproximationResult:
 
 class _SampleMemo:
     """One sampled vector's work, shared by its configurations (one per order
-    m) and keyed on the vector's identity: ||x||, and in `errors` each
-    support's error result keyed on (A, free), as best_coefficients returns
-    it when the coefficients on A are free (a pruned bound included), else as
-    (||x.drop(A)||,).  Holds one vector at a time, for one oracle."""
+    m) and keyed on the vector's identity: ||x||; where the space declares a
+    floor, x's payload as ints over one denominator D, made once, and in
+    `floors` that floor of each x.drop(A), squared, on those ints (D**2 times
+    its true square); and in `errors` each support's error result keyed on
+    (A, free), as best_coefficients returns it when the coefficients on A
+    are free (a pruned bound included), else as (||x.drop(A)||,).  Holds one
+    vector at a time, for one oracle."""
 
     def __init__(self, oracle):
         self.oracle = oracle
@@ -301,8 +309,8 @@ class _SampleMemo:
 
     def at(self, x):
         if x is not self.x:
-            self.x, self._norm, self._ranked = x, None, None
-            self.errors = {}
+            self.x, self._norm, self._ranked, self._ints = x, None, None, None
+            self.errors, self.floors = {}, {}
         return self
 
     def norm(self):
@@ -311,18 +319,38 @@ class _SampleMemo:
         return self._norm
 
     def off_max(self, A):
-        """max |x_n| over n not in A, a lower bound on the error of every
-        approximant supported on A: each space's norm dominates the sup norm
-        (up to rounding the bound to a float, where the norm is a float;
-        _cutoff is a float, so comparing with it loses nothing)."""
+        """max |x_n| over n not in A: the sup norm of x.drop(A)."""
         if self._ranked is None:
             self._ranked = _ranked_support(self.x)
         return next((abs(self.x.entries[n]) for n in self._ranked if n not in A), 0)
 
+    def cannot_win(self, A, cutoff):
+        """Whether the space's floor of x.drop(A), a lower bound on the error
+        of every approximant supported on A (`NormOracle.floor`), is at least
+        the float cutoff, exactly; never for an infinite cutoff.  The sup
+        norm, where the space declares no floor, is a modulus of x and
+        compares exactly as it is; another floor is compared as its square
+        on the ints, cross-multiplied as `_reaches` compares.  A float error
+        can round to an ulp below its exact floor: a support skipped here
+        would have won only with its float error within that ulp below the
+        cutoff."""
+        floor = self.oracle.floor
+        if floor is None or cutoff == math.inf:
+            return self.off_max(A) >= cutoff
+        square = self.floors.get(A)
+        if square is None:
+            if self._ints is None:
+                nums, D = over_one_denominator(self.x.entries.values())
+                self._ints = SparseVector._of(dict(zip(self.x.entries, nums)))
+                self._scale = D * D
+            square = self.floors[A] = floor(self._ints.drop(A))
+        p, q = cutoff.as_integer_ratio()
+        return square * q * q >= p * p * self._scale
+
 
 def _cutoff(best):
     """A support replaces the best one only with an error below this: best
-    less a margin of 1e-15, relative below 1.  A support whose off_max is at
+    less a margin of 1e-15, relative below 1.  A support whose floor is at
     least this cannot win, so it is skipped unsolved."""
     return best - 1e-15 * min(1, best)
 
@@ -336,9 +364,10 @@ def _best_support(x, m, oracle, family, memo, free):
     the space declares a suppression constant of 1, the pool also holds the
     EXTRA_OFFSUPPORT smallest unused indices (a recorded computational
     compromise); an off-support index cannot lower a projection error.  A
-    support is solved only if the sup-norm bound max_{n not in A} |x_n| lets
-    it beat the best so far, and at most once per `memo` (a _SampleMemo of
-    this oracle), which the orders m of one sampled x share.
+    support is solved at most once per `memo` (a _SampleMemo of this
+    oracle), which the orders m of one sampled x share, and only if its
+    result is not in the memo and the space's floor of x.drop(A) lets it
+    beat the best so far (`_SampleMemo.cannot_win`, an exact comparison).
 
     Each solve gets the current cutoff and may return, instead, a bound
     that cannot win (best_coefficients).  Each order restarts its cutoff at
@@ -354,11 +383,11 @@ def _best_support(x, m, oracle, family, memo, free):
     best = ((), (memo.norm(), {}, True) if free else (memo.norm(),))
     cutoff = _cutoff(memo.norm())
     for A in family_members_within(family, pool, m)[1:]:
-        if memo.off_max(A) >= cutoff:
-            continue
         error = memo.errors.get((A, free))
         if error is None or (free and error[1] is None
                              and not _reaches(*error[0].as_integer_ratio(), cutoff)):
+            if memo.cannot_win(A, cutoff):
+                continue
             error = memo.errors[A, free] = (best_coefficients(x, A, oracle, cutoff)
                                             if free else (oracle.norm(x.drop(A)),))
         if error[0] < cutoff:

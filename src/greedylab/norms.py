@@ -188,6 +188,12 @@ def mixed_parity_norm(x: SparseVector, want_witness=False):
     return value, SparseVector(f)
 
 
+def squares(z: SparseVector):
+    """The sum of the squares of z's coefficients: its Euclidean norm
+    squared, an int for an int payload (a floor of the window spaces)."""
+    return sum(v * v for v in z.entries.values())
+
+
 @dataclass
 class NormOracle:
     """A named norm with its one evaluator, dimension cap and metadata.
@@ -196,6 +202,13 @@ class NormOracle:
     a norming functional: f(x) = ||x|| and |f(z)| <= ||z|| for every z.
     `certified` optionally carries proven upper constants, e.g. a
     suppression constant.
+
+    `floor(z)` gives, for an int payload z, L(z)**2 as an int, for a
+    1-unconditional norm L that this norm dominates; None means the sup
+    norm, which every space here dominates.  For every support A and
+    coefficients c, z = x - sum_{n in A} c_n e_n has L(x.drop(A)) =
+    L(P_{A^c} z) <= L(z) <= ||z||, so L(x.drop(A)) is a lower bound on the
+    best error on A.  Given as a square, a Euclidean floor stays an int.
     """
 
     name: str
@@ -203,6 +216,7 @@ class NormOracle:
     dimension_cap: int = 1_000_000
     certified: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    floor: object = None
 
     def norm(self, x: SparseVector, want_functional=False):
         top = x.max_index()

@@ -3,7 +3,12 @@
 Descriptors: `kt:N=8`, `ktsum:c0`, `ktsum:l2`, `parity`, `schreier:a=1`,
 `james:a=1`, `walpha:a=1[,blocks=2][,n0=2]`.  Each space has one evaluator,
 `evaluate(x, want_functional=False)`, whose norm functions are read from this
-module's namespace, so a wrapper set there sees every evaluation.
+module's namespace, so a wrapper set there sees every evaluation.  A space
+may also carry a floor (`NormOracle.floor`): the Euclidean norm for `kt` (its
+norm is the larger of that and the partial sums) and `ktsum:l2` (each block's
+norm is at least the block's Euclidean norm), and for `james` the family sup
+norm at its level (S_alpha lies in the relaxed family, and singleton
+intervals on a member F are worth sum_{n in F} |x_n|).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from .family_norms import (interval_functional, jamesification_norm,
                            schreier_alpha_norm, sup_functional,
                            weighted_schreier_norm)
 from .norms import (NormDomainError, NormOracle, block_sum_norm, kt_block_norm,
-                    mixed_parity_norm)
+                    mixed_parity_norm, squares)
 from .ordinals import parse_ordinal
 from .rah import make_weight_family
 from .schreier import FamilyError
@@ -53,6 +58,7 @@ def make_space(descriptor: str) -> NormOracle:
             dimension_cap=2 * N - 1,
             certified={"Cw": 3.0 + 2.0 ** 0.5},
             meta={"window": N},
+            floor=squares,
         )
     if head == "ktsum":
         outer = body or "c0"
@@ -62,6 +68,7 @@ def make_space(descriptor: str) -> NormOracle:
             name=descriptor,
             evaluate=lambda x, want=False: block_sum_norm(x, outer, want),
             dimension_cap=4096,
+            floor=squares if outer == "l2" else None,
         )
     if head == "parity":
         return NormOracle(
@@ -87,6 +94,7 @@ def make_space(descriptor: str) -> NormOracle:
                                             else jamesification_norm(x, alpha)),
             dimension_cap=512,
             certified={"Cl": 1.0},
+            floor=lambda z: schreier_alpha_norm(z, alpha) ** 2,
         )
     if head == "walpha":
         alpha = parse_ordinal(opts.get("a", "1"))

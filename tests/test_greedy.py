@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from greedylab import greedy
 from greedylab.greedy import (CONSTANT_NAMES, EXTRA_OFFSUPPORT, GAP_TOL,
-                              KELLEY_MAX_CUTS, GreedyError, PropertyConfig,
-                              SearchSpec, TheoremSuiteSpec, _cut_lp,
-                              _gap_closed, _grid_equality_check,
+                              KELLEY_MAX_CUTS, TIE_TOL, GreedyError,
+                              PropertyConfig, SearchSpec, TheoremSuiteSpec,
+                              _cut_lp, _gap_closed, _grid_equality_check,
                               _one_cut_bound, _random_vector,
                               _ratio, _sampled_configs, _SampleMemo,
                               almost_greedy_error, best_coefficients,
@@ -24,7 +24,7 @@ from greedylab.greedy import (CONSTANT_NAMES, EXTRA_OFFSUPPORT, GAP_TOL,
 from greedylab.norms import NormDomainError, NormOracle
 from greedylab.schreier import FamilyHandle
 from greedylab.spaces import make_space
-from greedylab.vectors import SparseVector
+from greedylab.vectors import SparseVector, over_one_denominator
 from references import grid_best_coefficients, grid_equality_reference
 
 S1 = FamilyHandle.parse("s:1")
@@ -40,6 +40,21 @@ def test_greedy_set_examples():
     assert res.greedy_set == (1,) and res.tie_flag
     alts = greedy_set(SparseVector({1: 1.0, 2: 1.0}), 1, tie_break="enumerate-all")
     assert [r.greedy_set for r in alts] == [(1,), (2,)]
+
+
+def test_greedy_set_ties_are_relative_below_one():
+    # an absolute tolerance of 1e-12 tied 3e-13 with 1e-13
+    x = SparseVector({1: 3e-13, 2: 1e-13})
+    res = greedy_set(x, 1)
+    assert res.greedy_set == (1,) and not res.tie_flag
+    assert [r.greedy_set for r in greedy_set(x, 1, "enumerate-all")] == [(1,)]
+    # within TIE_TOL times the threshold they still tie, and at or above 1
+    # the tolerance stays TIE_TOL
+    for x in (SparseVector({1: 3e-13, 2: 3e-13 * (1 - TIE_TOL / 2)}),
+              SparseVector({1: 2.0, 2: 2.0 - TIE_TOL / 2})):
+        assert [r.greedy_set for r in greedy_set(x, 1, "enumerate-all")] == [
+            (1,), (2,)]
+        assert greedy_set(x, 1).tie_flag
 
 
 def test_greedy_set_invariants_sampled():
@@ -396,9 +411,12 @@ SPACES_TOPS = [("james:a=1", 16), ("james:a=2", 16), ("kt:N=8", 15),
 
 
 def _payloads(top, max_size):
+    # floats, exact values, and ±1 as _random_vector's "signs" mode draws them
+    # (a third of all samples), whose ties are where a floor skips
     floats = st.integers(-10 ** 6, 10 ** 6).map(lambda k: k / 10 ** 6)
     exact = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
-    return st.sampled_from((floats, exact)).flatmap(
+    signs = st.sampled_from((-1.0, 1.0))
+    return st.sampled_from((floats, exact, signs)).flatmap(
         lambda coeffs: st.dictionaries(st.integers(1, top), coeffs, min_size=1,
                                        max_size=max_size).map(SparseVector))
 
@@ -487,6 +505,37 @@ def test_norm_dominates_sup_norm(descriptor, top, data):
     assert value >= (float(top) if isinstance(value, float) else top)
 
 
+@pytest.mark.parametrize("descriptor, top", [
+    ("james:a=1", 16), ("james:a=2", 16), ("kt:N=8", 15), ("ktsum:l2", 40)])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_floor_lies_between_the_sup_norm_and_the_error(descriptor, top, data):
+    # the premise of sigma_m's skip: for every member A, the space's floor of
+    # x.drop(A) (squared, on x over one denominator D) is at least the largest
+    # modulus A leaves and at most A's error, exactly where the error is
+    # exact and up to the norm's rounding where it is a float; and the memo
+    # compares it with a cutoff exactly
+    oracle = make_space(descriptor)
+    x = data.draw(_payloads(top, 6))
+    nums, D = over_one_denominator(x.entries.values())
+    ints = SparseVector(dict(zip(x.entries, nums)))
+    memo = _SampleMemo(oracle).at(x)
+    extra = data.draw(st.sets(st.integers(1, top), max_size=2))
+    for A in family_members_within(S1, set(x.support) | extra, 3)[1:]:
+        floor = Fraction(oracle.floor(ints.drop(A)), D * D)
+        assert floor >= Fraction(x.drop(A).inf_norm()) ** 2
+        value, coeffs, _ = best_coefficients(x, A, oracle)
+        slack = 0
+        if isinstance(value, float):
+            residual = x - SparseVector(coeffs)
+            slack = Fraction(2.0 ** -48) * Fraction(residual.l1_norm())
+        assert floor <= (Fraction(value) + slack) ** 2
+        for cutoff in (float(value), math.sqrt(floor), math.nextafter(
+                math.sqrt(floor), 0), math.nextafter(math.sqrt(floor), 9)):
+            assert memo.cannot_win(A, cutoff) is (floor >= Fraction(cutoff) ** 2)
+        assert memo.floors[A] == oracle.floor(ints.drop(A))
+
+
 def _plain_sigma(x, m, oracle, family):
     # sigma_m without its memo and skip: every member solved, in order
     pool = list(x.support)
@@ -534,35 +583,42 @@ def test_best_coefficients_at_a_cutoff(descriptor, first, top, least, data):
 
 
 def test_a_support_pruned_at_one_order_is_solved_again_where_it_wins():
-    # at m = 2 the support (10,) stops at its bound, as (1, 9) is better; at
-    # m = 1, asked later of the same memo, the cutoff is higher when (10,)
-    # comes up, so the memo solves it again, and it wins
+    # at m = 2 the support (7,) passes the floor but stops at its bound, as
+    # (2, 7) is better; at m = 1, asked later of the same memo, the cutoff is
+    # higher when (7,) comes up, so the memo solves it again, and it wins
     james = make_space("james:a=1")
-    x = SparseVector({1: 0.75, 9: -1.25, 10: -1.0, 13: -1.0})
+    x = SparseVector({1: -1.0, 2: 0.5, 7: -1.25, 9: 0.25})
     memo = _SampleMemo(james)
     for m, pruned in ((2, True), (1, False)):
         got = sigma_m(x, m, james, S1, memo)
         assert (got.value, got.support, got.coefficients, got.converged) == (
             _plain_sigma(x, m, james, S1))
-        assert (memo.errors[(10,), True][1] is None) is pruned
-    assert got.support == (10,)
+        assert (memo.errors[(7,), True][1] is None) is pruned
+    assert got.support == (7,)
 
 
 def test_pruning_cuts_the_work_on_a_cutting_plane_sample():
     # the estimate benchmark's costliest sample (james:a=1, sample seed 6):
-    # 99 norm evaluations and 73 LPs for m = 1..3 without the cutoff
+    # 99 norm evaluations and 73 LPs for m = 1..3 without the cutoff, 75 and
+    # 59 with it under the sup-norm skip; the level-1 family sup norm as the
+    # floor leaves 16 and 6, for 32 floors, one per nonempty member of the
+    # pool (the support and two unused indices)
     james = make_space("james:a=1")
-    seen, lps = [], []
+    seen, lps, floors = [], [], []
 
     def evaluate(z, want_functional=False):
         seen.append(z)
         return james.evaluate(z, want_functional)
 
+    def floor(z):
+        floors.append(z)
+        return james.floor(z)
+
     def counted_lp(cuts, width):
         lps.append(len(cuts))
         return _cut_lp(cuts, width)
 
-    counted = dataclasses.replace(james, evaluate=evaluate)
+    counted = dataclasses.replace(james, evaluate=evaluate, floor=floor)
     x = SparseVector({1: 1.0, 5: 1.0, 11: 1.0, 34: -1.0, 63: 1.0})
     memo = _SampleMemo(counted)
     with pytest.MonkeyPatch.context() as patch:
@@ -570,7 +626,8 @@ def test_pruning_cuts_the_work_on_a_cutting_plane_sample():
         ratios = [_ratio("Cg", counted, S1, {"vector": x, "m": m}, memo)
                   for m in (1, 2, 3)]
     assert ratios == [4 / 3, 1.5, 1.0]
-    assert len(seen) <= 75 and len(lps) <= 59
+    assert len(seen) <= 16 and len(lps) <= 6
+    assert len(floors) <= 32
 
 
 def _plain_almost_greedy(x, m, oracle, family):
@@ -597,6 +654,27 @@ def test_memoised_pruned_sigma_matches_plain_enumeration(descriptor, top, data):
             assert type(got.value) is type(want[0])
             assert (almost_greedy_error(x, m, oracle, S1, memo)
                     == _plain_almost_greedy(x, m, oracle, S1))
+
+
+CHAIN = [FamilyHandle.parse("s:0"), S1, FamilyHandle.parse("s:2"), POWERSET]
+
+
+@pytest.mark.parametrize("descriptor", [
+    "james:a=1", "schreier:a=1", "parity", "kt:N=8", "walpha:a=0,blocks=3"])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sigma_m_does_not_grow_along_the_family_chain(descriptor, data):
+    # S_0 within S_1 within S_2 within the power set, so sigma_m over each
+    # is at most sigma_m over the one before, up to Kelley's gap: a guard on
+    # every skip, cutoff and memo in sigma_m's search
+    oracle = make_space(descriptor)
+    quarters = st.integers(-8, 8).filter(bool).map(lambda k: Fraction(k, 4))
+    x = SparseVector(data.draw(st.dictionaries(st.integers(1, 15), quarters,
+                                               min_size=2, max_size=6)))
+    for m in range(1, min(3, len(x)) + 1):
+        values = [sigma_m(x, m, oracle, family).value for family in CHAIN]
+        for wider, narrower in zip(values[1:], values):
+            assert wider <= narrower + GAP_TOL * max(1, narrower)
 
 
 def test_sigma_m_margin_is_relative_below_one():
